@@ -27,7 +27,6 @@ type config struct {
 	memProfile  string
 	workloads   []string
 	cpus        []int
-	shard       int
 	runners     []experiments.Runner
 }
 
@@ -59,7 +58,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	memProfile := fs.String("memprofile", "", "write a heap allocation pprof profile taken at exit to file")
 	workloadList := fs.String("workload", "", "comma-separated background generators for the noise experiment (default scan,zipf,hog,web)")
 	cpusList := fs.String("cpus", "", "comma-separated simulated-processor counts swept by the noise and slo experiments (0 = uncontended infinite-core model, the default)")
-	shard := fs.Int("shard-parallel", 0, "engine harvest workers for sharded event lanes (0 = serial engine, the bit-exact anchor; output is byte-identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			fs.SetOutput(stderr)
@@ -92,13 +90,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, error) {
 	default:
 		return nil, fmt.Errorf("unknown scale %q (want full, quick, or mega)", *scaleName)
 	}
-	if *shard < 0 {
-		return nil, fmt.Errorf("-shard-parallel %d is negative", *shard)
-	}
-	if err := experiments.SetShardParallel(*shard); err != nil {
-		return nil, err
-	}
-	c.shard = *shard
 	if c.parallel < 0 {
 		return nil, fmt.Errorf("-parallel %d is negative", c.parallel)
 	}

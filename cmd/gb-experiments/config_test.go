@@ -120,20 +120,6 @@ func TestParseConfigCPUs(t *testing.T) {
 	}
 }
 
-func TestParseConfigShardParallel(t *testing.T) {
-	defer experiments.SetShardParallel(0)
-	c, err := parseConfig([]string{"-shard-parallel", "4"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.shard != 4 {
-		t.Errorf("shard = %d, want 4", c.shard)
-	}
-	if got := experiments.ShardParallel(); got != 4 {
-		t.Errorf("selection not applied to experiments package: %d", got)
-	}
-}
-
 func TestParseConfigMegaScale(t *testing.T) {
 	c, err := parseConfig([]string{"-scale", "mega"}, io.Discard)
 	if err != nil {
@@ -195,8 +181,8 @@ func TestParseConfigErrors(t *testing.T) {
 		{"bad workload", []string{"-workload", "scan,bitcoin"}, `unknown workload "bitcoin"`},
 		{"non-numeric cpus", []string{"-cpus", "0,many"}, "invalid"},
 		{"negative cpus", []string{"-cpus", "-1"}, "negative"},
-		{"negative shard-parallel", []string{"-shard-parallel", "-2"}, "negative"},
-		{"non-numeric shard-parallel", []string{"-shard-parallel", "many"}, "invalid"},
+		// A removed flag must fail like any unknown flag.
+		{"removed shard-parallel", []string{"-shard-parallel", "2"}, "not defined: -shard-parallel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -129,8 +129,7 @@ const swarmWave = 4096
 // waves and returns the driver process, which exits once the last wave
 // completes. Each process is pure scheduler load — a staggered start and
 // a small CPU burst — sized so a mega trial stresses the engine's event
-// population (and, when sharded, its lane harvests) without touching the
-// caches the ICL is probing. The driver polls for wave completion with
+// population without touching the caches the ICL is probing. The driver polls for wave completion with
 // sleeps; everything is scheduled through the engine, so the swarm is as
 // deterministic as any other trial workload.
 func startSwarm(s *simos.System, total int) *sim.Proc {

@@ -93,17 +93,6 @@ func withSnapshotReuse(t *testing.T, on bool, f func()) {
 	f()
 }
 
-// withShardParallel runs f with every machine built on sharded event
-// lanes at the given harvest width and restores the serial default.
-func withShardParallel(t *testing.T, n int, f func()) {
-	t.Helper()
-	if err := SetShardParallel(n); err != nil {
-		t.Fatal(err)
-	}
-	defer SetShardParallel(0)
-	f()
-}
-
 // TestParallelDeterminism is the tentpole's correctness gate: fan-out must
 // not perturb results. Every trial owns its platform (one engine, one RNG,
 // one virtual clock), so the rendered table must be byte-identical between
@@ -121,31 +110,29 @@ func TestParallelDeterminism(t *testing.T) {
 	}()
 	TakeTelemetry() // drain whatever earlier tests accumulated
 	TakeAudits()
-	render := func(n int, snap bool, shard int) (tables, trace, metrics, audits string) {
+	render := func(n int, snap bool) (tables, trace, metrics, audits string) {
 		var b strings.Builder
-		withShardParallel(t, shard, func() {
-			withSnapshotReuse(t, snap, func() {
-				withParallelism(t, n, func() {
-					b.WriteString(Fig2(Fig2Config{Scale: QuickScale()}).String())
-					b.WriteString(Fig5(Fig5Config{Scale: QuickScale()}).String())
-					b.WriteString(PriorArtSweeps().String())
-					// Two intensity points keep the contention sweep fast while
-					// still exercising workload-concurrent trials at both widths.
-					b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0, 0.75}}).String())
-					// One quota x intensity point (2 arms, naive vs gray-box)
-					// covers the stash tier: tier-disk fork, Preload, audit.
-					b.WriteString(Stash(StashConfig{Scale: QuickScale(), QuotaFracs: []float64{0.25}, Intensities: []float64{0.5}}).String())
-					// One load level (2 arms) covers the request-tracing path:
-					// sketches, SLO tracker, per-request span trees, and the
-					// MAC admission controller, with trial-side telemetry on.
-					b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond}).String())
-					// The same sweeps on contended machines (CPUs=1 and 2):
-					// the SMP scheduler's run queues, timeslice preemption, and
-					// dispatch order must be as deterministic as everything
-					// above, across pool widths and snapshot on/off.
-					b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0.75}, CPUList: []int{1, 2}}).String())
-					b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond, CPUList: []int{1, 2}}).String())
-				})
+		withSnapshotReuse(t, snap, func() {
+			withParallelism(t, n, func() {
+				b.WriteString(Fig2(Fig2Config{Scale: QuickScale()}).String())
+				b.WriteString(Fig5(Fig5Config{Scale: QuickScale()}).String())
+				b.WriteString(PriorArtSweeps().String())
+				// Two intensity points keep the contention sweep fast while
+				// still exercising workload-concurrent trials at both widths.
+				b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0, 0.75}}).String())
+				// One quota x intensity point (2 arms, naive vs gray-box)
+				// covers the stash tier: tier-disk fork, Preload, audit.
+				b.WriteString(Stash(StashConfig{Scale: QuickScale(), QuotaFracs: []float64{0.25}, Intensities: []float64{0.5}}).String())
+				// One load level (2 arms) covers the request-tracing path:
+				// sketches, SLO tracker, per-request span trees, and the
+				// MAC admission controller, with trial-side telemetry on.
+				b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond}).String())
+				// The same sweeps on contended machines (CPUs=1 and 2):
+				// the SMP scheduler's run queues, timeslice preemption, and
+				// dispatch order must be as deterministic as everything
+				// above, across pool widths and snapshot on/off.
+				b.WriteString(Noise(NoiseConfig{Scale: QuickScale(), Intensities: []float64{0.75}, CPUList: []int{1, 2}}).String())
+				b.WriteString(Slo(SloConfig{Scale: QuickScale(), Loads: []float64{300}, Duration: 500 * sim.Millisecond, CPUList: []int{1, 2}}).String())
 			})
 		})
 		regs := TakeTelemetry()
@@ -161,9 +148,9 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		return b.String(), tr.String(), mt.String(), au.String()
 	}
-	seqTab, seqTrace, seqMetrics, seqAudit := render(1, true, 0)
-	parTab, parTrace, parMetrics, parAudit := render(8, true, 0)
-	coldTab, coldTrace, coldMetrics, coldAudit := render(8, false, 0)
+	seqTab, seqTrace, seqMetrics, seqAudit := render(1, true)
+	parTab, parTrace, parMetrics, parAudit := render(8, true)
+	coldTab, coldTrace, coldMetrics, coldAudit := render(8, false)
 	if seqTab != parTab {
 		t.Errorf("-parallel 8 output differs from sequential run:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqTab, parTab)
 	}
@@ -187,24 +174,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	if parAudit != coldAudit {
 		t.Error("snapshot-forked audit report differs from cold-built trials")
-	}
-	// Sharded event lanes are a pure performance structure: the whole
-	// suite — tables, trace, metrics, audit — must be byte-identical at
-	// any harvest worker count, -parallel width, or snapshot mode.
-	for _, shard := range []int{2, 4} {
-		shTab, shTrace, shMetrics, shAudit := render(8, true, shard)
-		if shTab != seqTab {
-			t.Errorf("-shard-parallel %d output differs from the serial engine:\n--- serial ---\n%s\n--- sharded ---\n%s", shard, seqTab, shTab)
-		}
-		if shTrace != seqTrace {
-			t.Errorf("-shard-parallel %d Chrome trace differs from the serial engine", shard)
-		}
-		if shMetrics != seqMetrics {
-			t.Errorf("-shard-parallel %d metrics snapshot differs from the serial engine", shard)
-		}
-		if shAudit != seqAudit {
-			t.Errorf("-shard-parallel %d audit report differs from the serial engine", shard)
-		}
 	}
 	// The exports must actually contain the instrumented stack, ICLs
 	// included (fig2 drives FCCD probes).

@@ -101,10 +101,10 @@ type Scale struct {
 	// Name labels the scale in output.
 	Name string
 	// SwarmProcs, when > 0, adds a swarm of that many short-lived
-	// computing processes to every noise trial — the mega-scale
-	// scheduler load (ROADMAP item 1) that the sharded event lanes
-	// exist to carry. 0 (every default scale) adds nothing, so output
-	// is unchanged unless a swarm scale is selected.
+	// computing processes to every noise trial — a mega-scale
+	// scheduler and event-queue load for the serial engine. 0 (every
+	// default scale) adds nothing, so output is unchanged unless a swarm
+	// scale is selected.
 	SwarmProcs int
 }
 
@@ -119,8 +119,8 @@ func QuickScale() Scale { return Scale{MemoryMB: 64, Trials: 3, Name: "quick"} }
 
 // MegaScale is the full-size machine under mega-scale process load: every
 // noise trial additionally runs 200k short-lived computing processes
-// (10⁵ per trial, 10⁶ across a sweep), the population the sharded event
-// lanes are built for. Two repetitions keep a sweep affordable.
+// (10⁵ per trial, 10⁶ across a sweep), the largest event population any
+// CLI run reaches. Two repetitions keep a sweep affordable.
 func MegaScale() Scale { return Scale{MemoryMB: 896, Trials: 2, Name: "mega", SwarmProcs: 200_000} }
 
 // factor returns the ratio of this scale to the paper's machine, used to

@@ -383,6 +383,38 @@ func BenchmarkSched100kProcs(b *testing.B) {
 	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "procs/s")
 }
 
+// BenchmarkSched1MProcs runs one trial of 10⁶ short-lived processes
+// contending for 4 simulated CPUs in waves of 32768 live processes, so
+// goroutine stacks stay bounded.
+func BenchmarkSched1MProcs(b *testing.B) {
+	const (
+		total = 1_000_000
+		wave  = 32_768
+	)
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(1)
+		e.SetCPUs(4, Millisecond)
+		ps := make([]*Proc, 0, wave)
+		for done := 0; done < total; {
+			n := wave
+			if total-done < n {
+				n = total - done
+			}
+			ps = ps[:0]
+			for j := done; j < done+n; j++ {
+				j := j
+				ps = append(ps, e.Spawn(fmt.Sprintf("p%d", j), Time(j%1000)*Microsecond, func(p *Proc) {
+					p.Compute(Time(100+j%400) * Microsecond)
+				}))
+			}
+			e.WaitAll(ps...)
+			done += n
+		}
+		e.Run()
+	}
+	b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "procs/s")
+}
+
 // BenchmarkSchedDispatch measures one steady-state scheduler round —
 // slice expiry, rotation, dispatch, park/wake — with 8 processes on 2
 // CPUs. The interesting number is allocs/op: 0.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -123,7 +124,7 @@ func TestWheelCancelSweep(t *testing.T) {
 	for i := range evs {
 		e.Cancel(evs[i])
 	}
-	if n := e.lanes[0].wheelDead; n != 0 {
+	if n := e.ln.wheelDead; n != 0 {
 		t.Fatalf("wheelDead = %d after canceling every wheel event; sweep did not run", n)
 	}
 	if !e.Idle() {
@@ -238,5 +239,78 @@ func TestWheelAllocSteadyState(t *testing.T) {
 		e.Run()
 	}); n != 0 {
 		t.Fatalf("wheel schedule/fire path allocates %.1f per run, want 0", n)
+	}
+}
+
+// checkLane fails t unless the engine's single lane keeps its books: the
+// engine and lane agree on the live count, the wheel's live and dead
+// counters match both its per-level chain counters and the events
+// actually chained in its slots, and the heap holds at least every live
+// event the wheel does not.
+func checkLane(t *testing.T, e *Engine) {
+	t.Helper()
+	ln := &e.ln
+	if e.live != ln.live {
+		t.Fatalf("engine counts %d live events, lane counts %d", e.live, ln.live)
+	}
+	chained := ln.wheelLive + ln.wheelDead
+	if levels := ln.l0Count + ln.l1Count; chained != levels {
+		t.Fatalf("wheel live %d + dead %d != l0Count %d + l1Count %d",
+			ln.wheelLive, ln.wheelDead, ln.l0Count, ln.l1Count)
+	}
+	walked := 0
+	for _, level := range [][wheelSlots]*event{ln.l0, ln.l1} {
+		for _, head := range level {
+			for ev := head; ev != nil; ev = ev.next {
+				walked++
+			}
+		}
+	}
+	if walked != chained {
+		t.Fatalf("%d events chained in the wheel slots, counters say %d", walked, chained)
+	}
+	if heapLive := ln.live - ln.wheelLive; len(ln.events) < heapLive {
+		t.Fatalf("heap holds %d slots, fewer than its %d live events", len(ln.events), heapLive)
+	}
+}
+
+// TestLaneAccounting drives a contended workload with closure timers
+// (half of them canceled) through the wheel and validates the lane's
+// bookkeeping at 40 intermediate quiescent points and after the drain.
+func TestLaneAccounting(t *testing.T) {
+	e := wheelEngine(11)
+	e.SetCPUs(4, Millisecond)
+	for i := 0; i < 16; i++ {
+		i := i
+		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+			for k := 0; k < 40; k++ {
+				p.Compute(Time(100+(i*k)%700) * Microsecond)
+				p.Sleep(Time((i+k)%500) * Microsecond)
+			}
+		})
+	}
+	var cancelable []Event
+	for j := 0; j < 64; j++ {
+		cancelable = append(cancelable, e.After(Time(j)*331*Microsecond, func() {}))
+	}
+	sawLive, sawDead := false, false
+	for step := Time(1); step <= 40; step++ {
+		e.RunUntil(step * 700 * Microsecond)
+		if step == 10 {
+			for _, h := range cancelable[:32] {
+				e.Cancel(h)
+			}
+		}
+		checkLane(t, e)
+		sawLive = sawLive || e.ln.wheelLive > 0
+		sawDead = sawDead || e.ln.wheelDead > 0
+	}
+	if !sawLive || !sawDead {
+		t.Fatalf("wheel never held live (%v) and dead (%v) events; the checks did not cover it", sawLive, sawDead)
+	}
+	e.Run()
+	checkLane(t, e)
+	if e.live != 0 {
+		t.Fatalf("%d events still live after Run", e.live)
 	}
 }

@@ -263,15 +263,6 @@ func WriteChromeTrace(w io.Writer, regs []*Registry) error {
 			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"cat":%s,"name":%s%s}`,
 				pid, s.tid, microTS(s.start), microTS(s.dur), jsonString(s.cat), jsonString(s.name), reqArgs))
 		}
-		for ri, ring := range r.rings {
-			tid := 1000 + ri // ring tracks sit after process tracks
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"trace log %d"}}`,
-				pid, tid, ri))
-			ring.Do(func(ev Event) {
-				emit(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","cat":%s,"name":%s}`,
-					pid, tid, microTS(ev.At), jsonString(ev.Cat), jsonString(ev.Msg)))
-			})
-		}
 	}
 	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
 	return bw.Flush()
