@@ -1,10 +1,10 @@
 # Tier-1 gates and perf tooling. `make race` is the correctness gate for
-# the parallel trial harness; `make bench` tracks the engine fast path and
-# writes the suite's BENCH_experiments.json.
+# the parallel trial harness; `make bench-micro` tracks the hot paths and
+# `make bench-suite` writes the suite's BENCH_experiments.json.
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck noise stash slo sched bench bench-hot bench-wheel bench-stash bench-sched bench-suite bench-telemetry bench-audit bench-slo bench-diff bench-accept audit profile profile-cpu cover ci
+.PHONY: all build test race vet staticcheck perfbench-check noise stash slo sched bench-micro bench-suite bench-diff bench-accept audit profile profile-cpu cover ci
 
 # Pinned staticcheck release; CI installs exactly this version so lint
 # results are reproducible.
@@ -25,6 +25,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module (it imports this one through a replace
+# directive), so `go test ./...` at the root never builds it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Lint with the pinned staticcheck when the binary is available; skip
 # with a warning otherwise (offline dev boxes don't install tools, CI
@@ -61,62 +66,19 @@ CPUS ?= 0,2
 sched: build
 	$(GO) run ./cmd/gb-experiments -scale quick -cpus $(CPUS) noise slo
 
-# Engine hot-path microbenchmarks.
-bench:
-	$(GO) test ./internal/sim -run NONE -bench 'BenchmarkSchedule|BenchmarkScheduleCancel|BenchmarkProcessHandoff' -benchmem
-
-# Kernel hot-path microbenchmarks: the per-page paths (cache hit/evict,
-# VM clock touch, intrusive ring ops) that must stay at 0 allocs/op.
-# CI runs this and archives the -benchmem output next to the BENCH
-# report; the matching AllocsPerRun guard tests fail `make test` if a
-# steady-state allocation creeps back in.
-bench-hot:
-	$(GO) test ./internal/ring ./internal/cache ./internal/vm -run NONE \
-		-bench 'BenchmarkMoveToFront|BenchmarkRemovePushBack|BenchmarkLookupHit|BenchmarkInsertEvict|BenchmarkTouchResident' -benchmem
-
-# Timer-wheel vs binary-heap scheduler microbenchmark: the same
-# 8K-outstanding-timer load driven through the hierarchical wheel and
-# through the heap alone. Both must report 0 allocs/op (the matching
-# AllocsPerRun guard test fails `make test` otherwise); the wheel side
-# is the number that must not regress.
-bench-wheel:
-	$(GO) test ./internal/sim -run NONE \
-		-bench 'BenchmarkTimerWheel|BenchmarkHeapSchedule' -benchmem
-
-# Stash hot-path microbenchmarks: hit, miss+admit+evict, and gray-box
-# admission probing — all must report 0 allocs/op (the AllocsPerRun
-# guards in internal/stash fail `make test` otherwise).
-bench-stash:
-	$(GO) test ./internal/stash -run NONE -bench 'BenchmarkStash' -benchmem
-
-# SMP scheduler scale benchmarks: 100k- and 10⁶-process contended
-# trials (procs/s; the 10⁶ trial takes seconds, so it runs once) and the
-# steady-state dispatch round, which must report 0 allocs/op (the
-# AllocsPerRun guard in internal/sim fails `make test` otherwise).
-bench-sched:
-	$(GO) test ./internal/sim -run NONE \
-		-bench 'BenchmarkSched100kProcs|BenchmarkSched1MProcs|BenchmarkSchedDispatch' -benchmem
+# Every micro-benchmark in the hot-path packages, with -benchmem; CI
+# archives the output as BENCH_micro.txt. The AllocsPerRun guard tests
+# fail `make test` if a 0-allocs/op path starts allocating; this target
+# records ns/op and B/op per revision. -p 1 keeps packages from
+# benchmarking concurrently.
+bench-micro:
+	$(GO) test -p 1 -run NONE -bench . -benchmem \
+		./internal/sim ./internal/ring ./internal/cache ./internal/vm \
+		./internal/stash ./internal/simos ./internal/core/fccd ./internal/telemetry
 
 # Full quick-scale suite with the per-experiment timing report.
 bench-suite: build
 	$(GO) run ./cmd/gb-experiments -scale quick -o /dev/null -bench-out BENCH_experiments.json
-
-# Telemetry overhead guard: the disabled path must report 0 allocs/op.
-bench-telemetry:
-	$(GO) test ./internal/simos -run NONE -bench BenchmarkTelemetryOverhead -benchmem
-
-# Audit overhead guard: with auditing disabled the instrumented ICL hot
-# path must report 0 B/op beyond the uninstrumented baseline.
-bench-audit:
-	$(GO) test ./internal/core/fccd -run NONE -bench BenchmarkAuditOverhead -benchmem
-
-# Request-tracing overhead guard: the full per-request instrumentation
-# sequence (request root span, stage spans, queue-wait attribution,
-# latency sketch, SLO check) must report 0 allocs/op with telemetry
-# disabled (the AllocsPerRun guards in internal/telemetry and
-# internal/simos fail `make test` otherwise).
-bench-slo:
-	$(GO) test ./internal/telemetry -run NONE -bench BenchmarkRequestPath -benchmem
 
 # Oracle-grounded inference audit of the quick suite: every ICL
 # prediction scored against simulator ground truth.
@@ -160,4 +122,4 @@ bench-accept: build
 cover:
 	$(GO) test -cover ./...
 
-ci: build vet staticcheck test race bench-hot bench-wheel bench-stash bench-slo bench-sched bench-diff
+ci: build vet staticcheck test perfbench-check race bench-micro bench-diff

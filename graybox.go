@@ -36,7 +36,6 @@ import (
 	"graybox/internal/core/fccd"
 	"graybox/internal/core/fldc"
 	"graybox/internal/core/mac"
-	"graybox/internal/core/shadow"
 	"graybox/internal/core/toolbox"
 	"graybox/internal/sim"
 	"graybox/internal/simos"
@@ -155,19 +154,6 @@ type MACBrokerConfig = mac.BrokerConfig
 
 // NewMACBroker creates the shared coordinator.
 func NewMACBroker(cfg MACBrokerConfig) *MACBroker { return mac.NewBroker(cfg) }
-
-// --- shadow (interposition) detector ---
-
-// ShadowConfig sizes the interposition-based cache model.
-type ShadowConfig = shadow.Config
-
-// Shadow is the interposition-based alternative to the FCCD: it models
-// the file cache by observing all reads that flow through it, with
-// probe-based revalidation to catch drift from outside I/O.
-type Shadow = shadow.Detector
-
-// NewShadow creates the interposition layer.
-func NewShadow(os *Proc, cfg ShadowConfig) *Shadow { return shadow.New(os, cfg) }
 
 // --- gray toolbox ---
 

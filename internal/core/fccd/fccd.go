@@ -21,8 +21,6 @@
 package fccd
 
 import (
-	"fmt"
-
 	"graybox/internal/audit"
 	"graybox/internal/core/probe"
 	"graybox/internal/sim"
@@ -173,22 +171,6 @@ func (d *Detector) ProbeFile(path string) ([]Segment, error) {
 // ProbeFd is ProbeFile for an already-open descriptor.
 func (d *Detector) ProbeFd(fd *simos.Fd) ([]Segment, error) {
 	return d.probeSegments(fd, d.segmentFile(fd.Size()))
-}
-
-// ProbeSegments ranks caller-supplied (offset, length) pairs ("more
-// advanced applications can specify the exact manner in which they want
-// the data returned").
-func (d *Detector) ProbeSegments(path string, segs []Segment) ([]Segment, error) {
-	fd, err := d.os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range segs {
-		if s.Off < 0 || s.Len <= 0 || s.Off+s.Len > fd.Size() {
-			return nil, fmt.Errorf("fccd: segment [%d,%d) outside file %q", s.Off, s.Off+s.Len, path)
-		}
-	}
-	return d.probeSegments(fd, segs)
 }
 
 // segmentFile cuts [0, size) into access units aligned to Boundary.

@@ -208,31 +208,6 @@ func TestRandomProbeOffsetsDiffer(t *testing.T) {
 	}
 }
 
-func TestProbeSegmentsValidation(t *testing.T) {
-	s := newSys()
-	err := s.Run("t", func(os *simos.OS) {
-		fd, _ := os.Create("data")
-		fd.Write(0, 1<<20)
-		d := New(os, testConfig())
-		if _, err := d.ProbeSegments("data", []Segment{{Off: 0, Len: 2 << 20}}); err == nil {
-			t.Error("oversized segment accepted")
-		}
-		segs, err := d.ProbeSegments("data", []Segment{
-			{Off: 0, Len: 512 << 10},
-			{Off: 512 << 10, Len: 512 << 10},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) != 2 {
-			t.Errorf("segments = %d", len(segs))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPositiveFeedbackStabilizes(t *testing.T) {
 	// Reading in probe order (access-unit chunks) should make the next
 	// probe pass agree with the previous one: the control technique of

@@ -29,6 +29,10 @@ type Layer struct {
 	// meter is the shared probe layer timing the stat() probes; audit
 	// hooks bill each ordering pass by cost delta.
 	meter *probe.Meter
+
+	// crash, set only by tests, interrupts Refresh at a footnote-4 crash
+	// point (see repair.go).
+	crash crashPoint
 }
 
 // New creates the layer.
@@ -91,70 +95,6 @@ func (l *Layer) OrderByINumber(paths []string) ([]string, error) {
 	return out, nil
 }
 
-// OrderByMtime stats every file and returns the paths sorted by
-// modification time — the LFS port the paper sketches in Section 4.2.5:
-// "within LFS, the ICL could take advantage of the knowledge that
-// writes that occur near one another in time lead to proximity in
-// space". On a log-structured allocator, write order (mtime) predicts
-// layout where i-numbers (which are reused) do not.
-func (l *Layer) OrderByMtime(paths []string) ([]string, error) {
-	cost0 := l.meter.Cost()
-	type mt struct {
-		path  string
-		mtime sim.Time
-		ino   int64
-	}
-	infos := make([]mt, 0, len(paths))
-	for _, p := range paths {
-		st, err := l.stat(p)
-		if err != nil {
-			return nil, err
-		}
-		infos = append(infos, mt{path: p, mtime: st.Mtime, ino: int64(st.Ino)})
-	}
-	sort.Slice(infos, func(a, b int) bool {
-		if infos[a].mtime != infos[b].mtime {
-			return infos[a].mtime < infos[b].mtime
-		}
-		return infos[a].ino < infos[b].ino
-	})
-	out := make([]string, len(infos))
-	for i, fi := range infos {
-		out[i] = fi.path
-	}
-	delta := l.meter.Cost().Sub(cost0)
-	l.os.Audit().FLDCOrder(out, delta.Probes, delta.NS)
-	return out, nil
-}
-
-// OrderByDirectory groups paths by their directory and returns them
-// grouped (directories in first-appearance order, names untouched
-// within a group) — the simpler heuristic the paper compares against.
-func (l *Layer) OrderByDirectory(paths []string) []string {
-	dirOf := func(p string) string {
-		for i := len(p) - 1; i >= 0; i-- {
-			if p[i] == '/' {
-				return p[:i]
-			}
-		}
-		return "."
-	}
-	var order []string
-	groups := make(map[string][]string)
-	for _, p := range paths {
-		d := dirOf(p)
-		if _, seen := groups[d]; !seen {
-			order = append(order, d)
-		}
-		groups[d] = append(groups[d], p)
-	}
-	var out []string
-	for _, d := range order {
-		out = append(out, groups[d]...)
-	}
-	return out
-}
-
 // RefreshOrder selects how a refresh lays files out.
 type RefreshOrder int
 
@@ -208,12 +148,15 @@ func (l *Layer) Refresh(dir string, order RefreshOrder) error {
 	}
 
 	// Step 1: temporary directory at the same level.
-	tmp := dir + ".gbrefresh"
+	tmp := dir + refreshSuffix
 	if err := os.Mkdir(tmp); err != nil {
 		return fmt.Errorf("fldc: refresh: %w", err)
 	}
 	// Steps 2-4: copy in sorted order; restore times.
-	for _, fi := range infos {
+	for i, fi := range infos {
+		if l.crash == crashDuringCopy && i == len(infos)/2 {
+			return fmt.Errorf("%w during copy of %q", errCrash, fi.path)
+		}
 		if err := l.copyFile(dir+"/"+fi.path, tmp+"/"+fi.path); err != nil {
 			return err
 		}
@@ -230,6 +173,9 @@ func (l *Layer) Refresh(dir string, order RefreshOrder) error {
 	}
 	if err := os.Rmdir(dir); err != nil {
 		return err
+	}
+	if l.crash == crashAfterDelete {
+		return fmt.Errorf("%w after delete, before rename", errCrash)
 	}
 	// Step 6: rename into place.
 	return os.Rename(tmp, dir)

@@ -62,22 +62,6 @@ func TestOrderByINumberRecoversCreationOrder(t *testing.T) {
 	}
 }
 
-func TestOrderByDirectoryGroups(t *testing.T) {
-	s := newSys()
-	err := s.Run("t", func(os *simos.OS) {
-		l := New(os)
-		in := []string{"a/1", "b/1", "a/2", "b/2", "a/3"}
-		got := l.OrderByDirectory(in)
-		want := []string{"a/1", "a/2", "a/3", "b/1", "b/2"}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("order = %v, want %v", got, want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestINumberOrderReadsFasterThanRandom(t *testing.T) {
 	s := newSys()
 	err := s.Run("t", func(os *simos.OS) {

@@ -1,9 +1,11 @@
 package fldc
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"graybox/internal/sim"
 	"graybox/internal/simos"
 )
 
@@ -24,31 +26,14 @@ func setupAged(t *testing.T, s *simos.System, os *simos.OS, n int) {
 	}
 }
 
-func TestRefreshWithCrashNone(t *testing.T) {
-	s := newSys()
-	err := s.Run("t", func(os *simos.OS) {
-		setupAged(t, s, os, 10)
-		l := New(os)
-		if err := l.RefreshWithCrash("work", BySize, CrashNone); err != nil {
-			t.Fatal(err)
-		}
-		names, _ := os.Readdir("work")
-		if len(names) != 10 {
-			t.Errorf("files = %d after clean refresh", len(names))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCrashDuringCopyThenRepairRollsBack(t *testing.T) {
 	s := newSys()
 	err := s.Run("t", func(os *simos.OS) {
 		setupAged(t, s, os, 10)
 		l := New(os)
-		err := l.RefreshWithCrash("work", BySize, CrashDuringCopy)
-		if !IsInjectedCrash(err) {
+		l.crash = crashDuringCopy
+		err := l.Refresh("work", BySize)
+		if !errors.Is(err, errCrash) {
 			t.Fatalf("expected injected crash, got %v", err)
 		}
 		// The crash left a partial temp directory and an intact
@@ -81,9 +66,19 @@ func TestCrashAfterDeleteThenRepairRollsForward(t *testing.T) {
 	s := newSys()
 	err := s.Run("t", func(os *simos.OS) {
 		setupAged(t, s, os, 10)
+		mtime := make(map[string]sim.Time)
+		names, _ := os.Readdir("work")
+		for _, n := range names {
+			st, err := os.Stat("work/" + n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mtime[n] = st.Mtime
+		}
 		l := New(os)
-		err := l.RefreshWithCrash("work", BySize, CrashAfterDelete)
-		if !IsInjectedCrash(err) {
+		l.crash = crashAfterDelete
+		err := l.Refresh("work", BySize)
+		if !errors.Is(err, errCrash) {
 			t.Fatalf("expected injected crash, got %v", err)
 		}
 		// The dangerous window: the original is gone, only the temp
@@ -98,12 +93,23 @@ func TestCrashAfterDeleteThenRepairRollsForward(t *testing.T) {
 		if len(rep.Completed) != 1 || rep.Completed[0] != "work" {
 			t.Errorf("repair report = %+v, want roll-forward of work", rep)
 		}
-		names, err := os.Readdir("work")
+		names, err = os.Readdir("work")
 		if err != nil {
 			t.Fatalf("directory unreachable after roll-forward: %v", err)
 		}
 		if len(names) != 10 {
 			t.Errorf("files = %d after roll-forward, want 10", len(names))
+		}
+		// The refresh restored times before the crash, so the rolled-
+		// forward copies keep the originals' mtimes.
+		for _, n := range names {
+			st, err := os.Stat("work/" + n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Mtime != mtime[n] {
+				t.Errorf("%s: mtime %v after roll-forward, want %v", n, st.Mtime, mtime[n])
+			}
 		}
 		// And the layout is fresh: i-number order == block order.
 		ordered, err := New(os).OrderByINumber(prefixAll("work/", names))
@@ -142,7 +148,8 @@ func TestRepairIdempotentAndSelective(t *testing.T) {
 		}
 		// Crash, repair, repair again: second run is a no-op.
 		l := New(os)
-		if err := l.RefreshWithCrash("work", BySize, CrashAfterDelete); !IsInjectedCrash(err) {
+		l.crash = crashAfterDelete
+		if err := l.Refresh("work", BySize); !errors.Is(err, errCrash) {
 			t.Fatal(err)
 		}
 		if _, err := RepairRefresh(os, ""); err != nil {

@@ -106,9 +106,6 @@ type Disk struct {
 	lastEnd     int64
 	lastEndTime sim.Time
 
-	// sched holds non-FCFS scheduling state (see sched.go).
-	sched schedState
-
 	// tel holds telemetry handles; nil until Instrument is called, and
 	// every update is guarded by that one nil check.
 	tel *diskTel
@@ -235,20 +232,42 @@ func (d *Disk) Access(p *sim.Proc, block int64, nblocks int, write bool) {
 		p.Track().Begin("disk", name)
 		t.queueDepth.Add(1)
 	}
-	if d.sched.policy != FCFS {
-		d.schedAccess(p, block, nblocks, write)
+	enqueued := d.e.Now()
+	d.res.Acquire(p)
+	queued := d.e.Now() - enqueued
+	seek, rot, xfer := d.serviceTime(block, nblocks, d.e.Now())
+	total := d.p.Overhead + seek + rot + xfer
+	d.stats.QueueTime += queued
+	d.stats.SeekTime += seek
+	d.stats.RotTime += rot
+	d.stats.TransferTime += xfer
+	if write {
+		d.stats.Writes++
+		d.stats.BlocksWrote += int64(nblocks)
 	} else {
-		enqueued := d.e.Now()
-		d.res.Acquire(p)
-		queued := d.e.Now() - enqueued
-		d.stats.QueueTime += queued
-		if t := d.tel; t != nil {
-			t.queueNS.Add(int64(queued))
-			p.Track().QueueWait(int64(queued))
-		}
-		d.service(p, block, nblocks, write)
-		d.res.Release()
+		d.stats.Reads++
+		d.stats.BlocksRead += int64(nblocks)
 	}
+	if t := d.tel; t != nil {
+		t.queueNS.Add(int64(queued))
+		p.Track().QueueWait(int64(queued))
+		t.seekNS.Add(int64(seek))
+		t.rotNS.Add(int64(rot))
+		t.xferNS.Add(int64(xfer))
+		t.serviceNS.Observe(int64(total))
+		if write {
+			t.writes.Inc()
+			t.blocksW.Add(int64(nblocks))
+		} else {
+			t.reads.Inc()
+			t.blocksRead.Add(int64(nblocks))
+		}
+	}
+	d.headCyl = d.cylinder(block + int64(nblocks) - 1)
+	p.Sleep(total)
+	d.lastEnd = block + int64(nblocks)
+	d.lastEndTime = d.e.Now()
+	d.res.Release()
 	if t := d.tel; t != nil {
 		t.queueDepth.Add(-1)
 		p.Track().End()

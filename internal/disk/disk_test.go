@@ -193,3 +193,46 @@ func TestBusyTimeAccumulates(t *testing.T) {
 		t.Errorf("BusyTime = %v out of (0, %v)", d.BusyTime(), e.Now())
 	}
 }
+
+func TestFCFSKeepsArrivalOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := newTestDisk(e)
+	bpc := int64(d.Params().BlocksPerTrack * d.Params().TracksPerCyl)
+	// Arrival order is far from seek order: FCFS must not reorder.
+	blocks := []int64{5000 * bpc, 100 * bpc, 4900 * bpc}
+	var order []int64
+	e.Go("holder", func(p *sim.Proc) {
+		d.Access(p, 0, d.Params().BlocksPerTrack, false)
+	})
+	for i, b := range blocks {
+		b := b
+		e.Spawn("req", sim.Time(i+1)*sim.Microsecond, func(p *sim.Proc) {
+			d.Access(p, b, 1, false)
+			order = append(order, b)
+		})
+	}
+	e.Run()
+	for i := range blocks {
+		if len(order) != len(blocks) || order[i] != blocks[i] {
+			t.Fatalf("FCFS order = %v, want arrival order %v", order, blocks)
+		}
+	}
+}
+
+func TestStateMidRequestPanics(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := newTestDisk(e)
+	e.Go("a", func(p *sim.Proc) {
+		d.Access(p, 0, 30, false)
+	})
+	e.Go("b", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond) // a is now inside Access
+		defer func() {
+			if recover() == nil {
+				t.Error("State with a request in flight did not panic")
+			}
+		}()
+		d.State()
+	})
+	e.Run()
+}

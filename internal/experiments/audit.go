@@ -24,9 +24,6 @@ var (
 // flag). It only affects platforms built afterwards.
 func EnableAudit(on bool) { audEnabled.Store(on) }
 
-// AuditEnabled reports whether harness auditing is on.
-func AuditEnabled() bool { return audEnabled.Load() }
-
 // TakeAudits returns the auditors of every platform built since the
 // previous call, in deterministic order, and resets the accumulator.
 func TakeAudits() []*audit.Auditor {

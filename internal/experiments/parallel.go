@@ -111,10 +111,6 @@ var snapshotReuse atomic.Bool
 
 func init() { snapshotReuse.Store(true) }
 
-// SnapshotReuse reports whether sweeps fork trials from a shared
-// platform snapshot.
-func SnapshotReuse() bool { return snapshotReuse.Load() }
-
 // SetSnapshotReuse toggles the snapshot path (the CLI's -snapshot flag).
 func SetSnapshotReuse(on bool) { snapshotReuse.Store(on) }
 

@@ -27,18 +27,6 @@ import (
 // Ino is an inode number. The paper's FLDC obtains it via stat().
 type Ino int64
 
-// AllocPolicy selects the data-block allocator.
-type AllocPolicy int
-
-const (
-	// AllocFFS is first-fit within the file's cylinder group, spilling
-	// into later groups.
-	AllocFFS AllocPolicy = iota
-	// AllocLFS appends at a global log rotor (an LFS-flavored extension:
-	// writes near in time end up near in space).
-	AllocLFS
-)
-
 // Config sets file system geometry and per-operation CPU costs.
 type Config struct {
 	GroupCylinders int // cylinders per cylinder group
@@ -47,7 +35,6 @@ type Config struct {
 	// (one per disk) share a single buffer cache namespace.
 	InoBase    Ino
 	MaxCluster int // max pages per disk transfer
-	Alloc      AllocPolicy
 
 	// Costs (virtual time charged to the calling process).
 	SyscallOverhead sim.Time // entering/leaving the kernel
@@ -124,7 +111,6 @@ type FS struct {
 	groups       []*group
 	inodes       map[Ino]*Inode
 	root         *dir
-	lfsRotor     int64
 	nextDirGroup int
 
 	// Stats for experiments.
@@ -285,59 +271,35 @@ func (fs *FS) freeInode(ino Ino) {
 // --- block allocation ---
 
 // allocBlocks allocates n data blocks for a file whose directory lives in
-// group g. FFS policy: first-fit from the start of the group so that
-// freed holes are reused (which is what ages the layout); spill into
-// subsequent groups.
+// group g, spilling into subsequent groups. FFS-style next-fit: each
+// group allocates starting from a rotor at its most recent allocation,
+// wrapping around, so freed holes are reused (which is what ages the
+// layout). This is what makes creation order match layout order in a
+// fresh group, and what decouples reused i-numbers from reused holes as
+// the file system ages.
 func (fs *FS) allocBlocks(g int, n int64) ([]int64, error) {
 	out := make([]int64, 0, n)
-	switch fs.cfg.Alloc {
-	case AllocLFS:
-		total := int64(0)
-		for _, gr := range fs.groups {
-			total += gr.nfree
+	for off := 0; off < len(fs.groups) && int64(len(out)) < n; off++ {
+		gr := fs.groups[(g+off)%len(fs.groups)]
+		if gr.nfree == 0 {
+			continue
 		}
-		if total < n {
-			return nil, fmt.Errorf("fs: out of space")
-		}
-		span := fs.groups[len(fs.groups)-1].dataStart + fs.groups[len(fs.groups)-1].dataBlocks
-		for int64(len(out)) < n {
-			blk := fs.lfsRotor
-			fs.lfsRotor = (fs.lfsRotor + 1) % span
-			if gr, idx := fs.groupForBlock(blk); gr != nil && gr.freeData[idx] {
+		start := gr.rotor
+		for i := int64(0); i < gr.dataBlocks && int64(len(out)) < n; i++ {
+			idx := (start + i) % gr.dataBlocks
+			if gr.freeData[idx] {
 				gr.freeData[idx] = false
 				gr.nfree--
-				out = append(out, blk)
+				gr.rotor = (idx + 1) % gr.dataBlocks
+				out = append(out, gr.dataStart+idx)
 			}
 		}
-		return out, nil
-	default:
-		// FFS-style next-fit: each group allocates starting from a rotor
-		// at its most recent allocation, wrapping around. This is what
-		// makes creation order match layout order in a fresh group, and
-		// what decouples reused i-numbers from reused holes as the file
-		// system ages.
-		for off := 0; off < len(fs.groups) && int64(len(out)) < n; off++ {
-			gr := fs.groups[(g+off)%len(fs.groups)]
-			if gr.nfree == 0 {
-				continue
-			}
-			start := gr.rotor
-			for i := int64(0); i < gr.dataBlocks && int64(len(out)) < n; i++ {
-				idx := (start + i) % gr.dataBlocks
-				if gr.freeData[idx] {
-					gr.freeData[idx] = false
-					gr.nfree--
-					gr.rotor = (idx + 1) % gr.dataBlocks
-					out = append(out, gr.dataStart+idx)
-				}
-			}
-		}
-		if int64(len(out)) < n {
-			fs.freeBlocks(out)
-			return nil, fmt.Errorf("fs: out of space")
-		}
-		return out, nil
 	}
+	if int64(len(out)) < n {
+		fs.freeBlocks(out)
+		return nil, fmt.Errorf("fs: out of space")
+	}
+	return out, nil
 }
 
 func (fs *FS) groupForBlock(blk int64) (*group, int64) {

@@ -438,31 +438,6 @@ func TestAgingFragmentsLayout(t *testing.T) {
 	})
 }
 
-func TestLFSAllocatorAppends(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := disk.New(e, disk.DefaultParams())
-	pool := mem.NewPool(e, 4096)
-	c := cache.New(e, cache.Config{}, cache.NewClock(), pool)
-	pool.AddShrinker(c)
-	cfg := DefaultConfig()
-	cfg.Alloc = AllocLFS
-	f := New(e, d, c, cfg)
-	pr := e.Go("t", func(p *sim.Proc) {
-		f.Mkdir(p, "d")
-		f.CreateSized("d/a", 4*4096)
-		f.CreateSized("d/b", 4*4096)
-		ba, _ := f.BlocksOf("d/a")
-		bb, _ := f.BlocksOf("d/b")
-		if bb[0] != ba[3]+1 {
-			t.Errorf("LFS: b starts at %d, want right after a's end %d", bb[0], ba[3])
-		}
-	})
-	e.Run()
-	if pr.Err() != nil {
-		t.Fatal(pr.Err())
-	}
-}
-
 func TestInoRoundTripProperty(t *testing.T) {
 	w := newWorld(t)
 	f := func(g uint8, idx uint16) bool {

@@ -8,7 +8,6 @@ type Snapshot struct {
 	groups       []groupState
 	inodes       map[Ino]*Inode
 	root         *dir
-	lfsRotor     int64
 	nextDirGroup int
 	statCalls    int64
 }
@@ -46,7 +45,6 @@ func (fs *FS) Snapshot() *Snapshot {
 		groups:       make([]groupState, len(fs.groups)),
 		inodes:       make(map[Ino]*Inode, len(fs.inodes)),
 		root:         cloneDir(fs.root),
-		lfsRotor:     fs.lfsRotor,
 		nextDirGroup: fs.nextDirGroup,
 		statCalls:    fs.StatCalls,
 	}
@@ -86,7 +84,6 @@ func (fs *FS) Restore(s *Snapshot) {
 		fs.inodes[ino] = cloneInode(in)
 	}
 	fs.root = cloneDir(s.root)
-	fs.lfsRotor = s.lfsRotor
 	fs.nextDirGroup = s.nextDirGroup
 	fs.StatCalls = s.statCalls
 }

@@ -1,8 +1,8 @@
 // Package ring provides an intrusive, index-based doubly linked list
 // backed by a slice arena with a free list. It replaces container/list on
 // the simulated kernel's per-page hot paths (cache CLOCK ring, dirty
-// FIFO, VM page-daemon clock, AFS and shadow LRUs), where allocating a
-// heap node per tracked page made large sweeps GC-bound.
+// FIFO, VM page-daemon clock, stash LRU), where allocating a heap node
+// per tracked page made large sweeps GC-bound.
 //
 // Nodes live in one contiguous slice; links are int32 indices into that
 // slice, and removed nodes go onto an internal free list for reuse. Once

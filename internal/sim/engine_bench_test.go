@@ -88,7 +88,7 @@ func BenchmarkTimerWheel(b *testing.B) {
 }
 
 // BenchmarkHeapSchedule measures the same load on the min-heap alone
-// (wheel forced off) — the before/after pair for make bench-wheel.
+// (wheel forced off) — the before/after pair for make bench-micro.
 func BenchmarkHeapSchedule(b *testing.B) {
 	e := NewEngine(1)
 	e.wheelMin = 1 << 40

@@ -33,16 +33,6 @@ func (r *Resource) Acquire(p *Proc) {
 	// The releaser granted our unit before unblocking us.
 }
 
-// TryAcquire obtains a unit without blocking; it reports whether it
-// succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.grant()
-		return true
-	}
-	return false
-}
-
 func (r *Resource) grant() {
 	if r.inUse == 0 {
 		r.busySince = r.e.now

@@ -312,21 +312,6 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release should succeed")
-	}
-}
-
 func TestResourceBusyTime(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, 1)

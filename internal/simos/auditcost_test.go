@@ -66,9 +66,6 @@ func TestAuditedProbeCostsMatchMeters(t *testing.T) {
 		if _, err := lay.OrderByINumber(paths); err != nil {
 			panic(err)
 		}
-		if _, err := lay.OrderByMtime(paths); err != nil {
-			panic(err)
-		}
 		if _, err := lay.ComposeWithFCCD(det, paths); err != nil {
 			panic(err)
 		}

@@ -146,26 +146,6 @@ func DiscardOutliers(xs []float64, k float64) []float64 {
 	return out
 }
 
-// LinearRegression fits y = slope*x + intercept by least squares. It
-// returns NaNs when fewer than two points or constant x.
-func LinearRegression(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		return math.NaN(), math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx float64
-	for i := range x {
-		dx := x[i] - mx
-		sxy += dx * (y[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return math.NaN(), math.NaN()
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
-}
-
 // SignTest performs the paired-sample sign test: given paired observations
 // a and b, it returns the number of pairs where a > b, the number where
 // a < b (ties dropped), and the two-sided binomial p-value for the null

@@ -179,19 +179,6 @@ func TestDiscardOutliersAdversarial(t *testing.T) {
 	}
 }
 
-func TestLinearRegression(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept := LinearRegression(x, y)
-	if !almost(slope, 2, 1e-12) || !almost(intercept, 1, 1e-12) {
-		t.Errorf("fit = (%v, %v), want (2, 1)", slope, intercept)
-	}
-	s, i := LinearRegression([]float64{1, 1}, []float64{2, 3})
-	if !math.IsNaN(s) || !math.IsNaN(i) {
-		t.Errorf("constant-x fit = (%v, %v), want NaNs", s, i)
-	}
-}
-
 func TestSignTest(t *testing.T) {
 	a := []float64{5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
 	b := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
