@@ -1,10 +1,11 @@
-# Tier-1 gates and perf tooling. `make race` is the correctness gate for
-# the parallel trial harness; `make bench-micro` tracks the hot paths and
-# `make bench-suite` writes the suite's BENCH_experiments.json.
+# Tier-1 gates, experiment shortcuts and profiling. `make race` is the
+# correctness gate for the parallel trial harness and `make bench-micro`
+# tracks the hot paths. The simulator's end-to-end benchmark is the
+# perfbench/ module (see perfbench/README.md).
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck perfbench-check noise stash slo sched bench-micro bench-suite bench-diff bench-accept audit profile profile-cpu cover ci
+.PHONY: all build test race vet staticcheck perfbench-check noise stash slo sched bench-micro audit profile profile-cpu cover ci
 
 # Pinned staticcheck release; CI installs exactly this version so lint
 # results are reproducible.
@@ -76,10 +77,6 @@ bench-micro:
 		./internal/sim ./internal/ring ./internal/cache ./internal/vm \
 		./internal/stash ./internal/simos ./internal/core/fccd ./internal/telemetry
 
-# Full quick-scale suite with the per-experiment timing report.
-bench-suite: build
-	$(GO) run ./cmd/gb-experiments -scale quick -o /dev/null -bench-out BENCH_experiments.json
-
 # Oracle-grounded inference audit of the quick suite: every ICL
 # prediction scored against simulator ground truth.
 audit: build
@@ -98,28 +95,8 @@ profile-cpu: build
 	$(GO) run ./cmd/gb-experiments -scale quick -o /dev/null \
 		-cpuprofile CPU_experiments.pprof -memprofile MEM_experiments.pprof
 
-# Regression gate: rerun the quick suite and diff its timing report
-# against the committed baseline with gb-bench (1.5x per experiment over
-# a 100 ms noise floor, suite-level sign test at alpha 0.05 — see
-# internal/bench). Non-blocking: wall clock on shared runners is noisy,
-# so a regression warns rather than failing the build.
-bench-diff: build
-	$(GO) run ./cmd/gb-experiments -scale quick -o /dev/null -bench-out BENCH_new.json
-	$(GO) run ./cmd/gb-bench BENCH_experiments.json BENCH_new.json || \
-		echo "warning: bench regression against the committed baseline (non-blocking)"
-
-# Accept a new performance baseline: regenerate the timing report from a
-# fresh quick-suite run, print the gb-bench diff against the committed
-# BENCH_experiments.json, and replace the baseline with the fresh run
-# (commit the updated file alongside the change that moved the numbers).
-bench-accept: build
-	$(GO) run ./cmd/gb-experiments -scale quick -o /dev/null -bench-out BENCH_accept.json
-	$(GO) run ./cmd/gb-bench BENCH_experiments.json BENCH_accept.json || true
-	mv BENCH_accept.json BENCH_experiments.json
-	@echo "BENCH_experiments.json updated; review and commit it"
-
 # Per-package statement coverage.
 cover:
 	$(GO) test -cover ./...
 
-ci: build vet staticcheck test perfbench-check race bench-micro bench-diff
+ci: build vet staticcheck test perfbench-check race bench-micro

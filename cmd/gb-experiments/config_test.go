@@ -17,7 +17,7 @@ func TestParseConfigDefaults(t *testing.T) {
 	if c.scale.Name != "full" {
 		t.Errorf("scale = %q, want full", c.scale.Name)
 	}
-	if c.markdown || c.parallel != 0 || c.outPath != "" || c.benchOut != "" {
+	if c.markdown || c.parallel != 0 || c.outPath != "" {
 		t.Errorf("defaults not zero: %+v", c)
 	}
 	if c.telemetryOn() {
@@ -37,7 +37,7 @@ func TestParseConfigDefaults(t *testing.T) {
 func TestParseConfigFlags(t *testing.T) {
 	c, err := parseConfig([]string{
 		"-scale", "quick", "-markdown", "-parallel", "8",
-		"-o", "out.txt", "-bench-out", "bench.json",
+		"-o", "out.txt",
 		"-trace", "t.json", "-metrics", "m.json",
 		"-audit", "a.json", "-profile", "p.folded",
 		"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof",
@@ -49,7 +49,7 @@ func TestParseConfigFlags(t *testing.T) {
 	if c.scale.Name != "quick" || !c.markdown || c.parallel != 8 {
 		t.Errorf("flags not applied: %+v", c)
 	}
-	if c.outPath != "out.txt" || c.benchOut != "bench.json" {
+	if c.outPath != "out.txt" {
 		t.Errorf("paths not applied: %+v", c)
 	}
 	if c.tracePath != "t.json" || c.metricsPath != "m.json" || !c.telemetryOn() {
@@ -183,6 +183,7 @@ func TestParseConfigErrors(t *testing.T) {
 		{"negative cpus", []string{"-cpus", "-1"}, "negative"},
 		// A removed flag must fail like any unknown flag.
 		{"removed shard-parallel", []string{"-shard-parallel", "2"}, "not defined: -shard-parallel"},
+		{"removed snapshot", []string{"-snapshot=false"}, "not defined: -snapshot"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	gb-experiments [-scale full|quick|mega] [-parallel N] [-snapshot=bool]
-//	               [-markdown] [-list] [-o file] [-bench-out file]
+//	gb-experiments [-scale full|quick|mega] [-parallel N]
+//	               [-markdown] [-list] [-o file]
 //	               [-trace file] [-metrics file] [-audit file]
 //	               [-profile file] [-cpuprofile file] [-memprofile file]
 //	               [-workload list] [-cpus list] [id ...]
@@ -22,10 +22,8 @@
 // trial owns its platform (engine, RNG, virtual clock), so output is
 // byte-identical at any pool width. Sweeps whose trials share a platform
 // configuration build the aged machine once and fork a copy-on-write
-// snapshot per trial; -snapshot=false restores the cold-build-per-trial
-// path (output is byte-identical either way). -bench-out records
-// per-experiment wall-clock and simulated-time totals as JSON so the
-// suite's performance is comparable across revisions.
+// snapshot per trial. Each experiment's wall-clock time goes to stderr;
+// perfbench/ is the simulator's benchmark.
 //
 // -cpus 0,2 re-runs the noise and slo sweeps at each listed simulated
 // processor count (0, the default, is the uncontended infinite-core
@@ -58,7 +56,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -69,7 +66,6 @@ import (
 	"time"
 
 	"graybox/internal/audit"
-	"graybox/internal/bench"
 	"graybox/internal/experiments"
 	"graybox/internal/telemetry"
 )
@@ -125,7 +121,6 @@ func run(args []string) int {
 		return 0
 	}
 	experiments.SetParallelism(cfg.parallel)
-	experiments.SetSnapshotReuse(cfg.snapshot)
 	experiments.EnableTelemetry(cfg.telemetryOn())
 	experiments.EnableAudit(cfg.auditPath != "")
 
@@ -140,22 +135,14 @@ func run(args []string) int {
 		out = f
 	}
 
-	report := bench.Report{
-		Scale:      cfg.scale.Name,
-		Parallel:   experiments.Parallelism(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
 	var allRegs []*telemetry.Registry
 	var allAuds []*audit.Auditor
-	suiteStart := time.Now()
-	experiments.TakeVirtualTime() // reset the accumulator
 	experiments.TakeTelemetry()
 	experiments.TakeAudits()
 	for _, r := range cfg.runners {
 		start := time.Now()
 		tab := r.Run(cfg.scale)
 		elapsed := time.Since(start)
-		virtual := experiments.TakeVirtualTime()
 		// Drain per experiment so each registry's label carries the
 		// experiment id and the file keeps run order.
 		for _, reg := range experiments.TakeTelemetry() {
@@ -171,15 +158,9 @@ func run(args []string) int {
 		} else {
 			fmt.Fprintln(out, tab)
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v wall-clock (%v simulated) at scale %s]\n",
-			r.ID, elapsed.Round(time.Millisecond), virtual, cfg.scale.Name)
-		report.Experiments = append(report.Experiments, bench.Entry{
-			ID:        r.ID,
-			WallMS:    float64(elapsed.Microseconds()) / 1000,
-			VirtualMS: virtual.Millis(),
-		})
+		fmt.Fprintf(os.Stderr, "[%s done in %v wall-clock at scale %s]\n",
+			r.ID, elapsed.Round(time.Millisecond), cfg.scale.Name)
 	}
-	report.TotalWallMS = float64(time.Since(suiteStart).Microseconds()) / 1000
 
 	if cfg.tracePath != "" {
 		if err := writeFileWith(cfg.tracePath, func(w io.Writer) error {
@@ -224,19 +205,6 @@ func run(args []string) int {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "[audit report written to %s]\n", cfg.auditPath)
-	}
-
-	if cfg.benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.benchOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "[bench report written to %s]\n", cfg.benchOut)
 	}
 	return 0
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"graybox/internal/sim"
 	"graybox/internal/simos"
 )
 
@@ -106,13 +105,14 @@ func ForEachTrial(n int, trial func(i int)) {
 // cold machine every time. Forked trials are byte-identical to cold
 // builds (the snapshot contract, pinned by simos.TestForkMatchesColdBuild
 // and TestParallelDeterminism), so this is purely a setup-cost
-// optimization.
+// optimization. Only the determinism tests turn it off, to get the
+// cold-build reference they compare against.
 var snapshotReuse atomic.Bool
 
 func init() { snapshotReuse.Store(true) }
 
-// SetSnapshotReuse toggles the snapshot path (the CLI's -snapshot flag).
-func SetSnapshotReuse(on bool) { snapshotReuse.Store(on) }
+// setSnapshotReuse toggles the snapshot path.
+func setSnapshotReuse(on bool) { snapshotReuse.Store(on) }
 
 // SnapshotPlatform lazily builds one base platform, snapshots it, and
 // hands each trial a private fork. build must construct the platform
@@ -134,7 +134,7 @@ func NewSnapshotPlatform(build func(seed uint64) *simos.System) *SnapshotPlatfor
 
 // Trial returns a machine seeded with seed, either forked from the
 // shared snapshot or cold-built, and registers it with the harness
-// (telemetry, audit, virtual-time) exactly as newSystem would.
+// (telemetry, audit) exactly as newSystem would.
 func (sp *SnapshotPlatform) Trial(seed uint64) *simos.System {
 	if !snapshotReuse.Load() {
 		return trackSystem(sp.build(seed))
@@ -155,15 +155,10 @@ func RunTrialsWithSnapshot[T any](n int, build func(seed uint64) *simos.System,
 	})
 }
 
-// Virtual-time accounting for the -bench-out report: every platform built
-// through newSystem/newMultiDiskSystem is registered here, and the CLI
-// drains the total after each experiment. Mini-simulations that build raw
-// engines (internal/priorart) are not tracked.
-var (
-	vtMu      sync.Mutex
-	vtSystems []*simos.System
-)
-
+// trackSystem registers a platform built through newSystem,
+// newMultiDiskSystem or a SnapshotPlatform with the enabled telemetry and
+// audit collectors. It holds no reference of its own, so a finished
+// trial's machine is garbage once its experiment drops it.
 func trackSystem(s *simos.System) *simos.System {
 	if telEnabled.Load() {
 		r := s.EnableTelemetry()
@@ -177,21 +172,5 @@ func trackSystem(s *simos.System) *simos.System {
 		auditors = append(auditors, a)
 		audMu.Unlock()
 	}
-	vtMu.Lock()
-	vtSystems = append(vtSystems, s)
-	vtMu.Unlock()
 	return s
-}
-
-// TakeVirtualTime returns the summed final virtual clocks of every
-// platform built since the previous call, and resets the accumulator.
-func TakeVirtualTime() sim.Time {
-	vtMu.Lock()
-	defer vtMu.Unlock()
-	var total sim.Time
-	for _, s := range vtSystems {
-		total += s.Engine.Now()
-	}
-	vtSystems = nil
-	return total
 }

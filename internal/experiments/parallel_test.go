@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"graybox/internal/audit"
 	"graybox/internal/sim"
@@ -88,8 +90,8 @@ func TestRunTrialsZeroAndSequential(t *testing.T) {
 // restores the default (on).
 func withSnapshotReuse(t *testing.T, on bool, f func()) {
 	t.Helper()
-	SetSnapshotReuse(on)
-	defer SetSnapshotReuse(true)
+	setSnapshotReuse(on)
+	defer setSnapshotReuse(true)
 	f()
 }
 
@@ -215,7 +217,6 @@ func TestSnapshotDeterminismAllExperiments(t *testing.T) {
 			}
 		})
 	}
-	TakeVirtualTime() // drop the platforms this sweep built
 }
 
 func TestTakeTelemetry(t *testing.T) {
@@ -254,14 +255,24 @@ func TestTakeAudits(t *testing.T) {
 	}
 }
 
-func TestTakeVirtualTime(t *testing.T) {
-	TakeVirtualTime() // drain whatever earlier tests accumulated
-	s := newSystem(simos.Linux22, QuickScale(), 1)
-	mustRun(s, "tick", func(os *simos.OS) { os.Sleep(sim.Millisecond) })
-	if vt := TakeVirtualTime(); vt <= 0 {
-		t.Errorf("TakeVirtualTime = %v, want > 0 after a run", vt)
+// TestHarnessDropsFinishedMachines: registering a machine with the
+// harness must not keep it alive. A finished trial's machine has to be
+// collectable before its experiment ends, or a suite's peak memory grows
+// with every trial it has run.
+func TestHarnessDropsFinishedMachines(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		s := newSystem(simos.Linux22, QuickScale(), 1)
+		mustRun(s, "tick", func(os *simos.OS) { os.Sleep(sim.Millisecond) })
+		runtime.SetFinalizer(s, func(*simos.System) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	if vt := TakeVirtualTime(); vt != 0 {
-		t.Errorf("TakeVirtualTime = %v on second call, want 0 (accumulator resets)", vt)
-	}
+	t.Error("the harness still holds a finished machine after GC")
 }
