@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck perfbench-check noise stash slo sched bench-micro audit profile profile-cpu cover ci
+.PHONY: all build test race fuzz vet staticcheck perfbench-check noise stash slo sched bench-micro audit profile profile-cpu cover ci
 
 # Pinned staticcheck release; CI installs exactly this version so lint
 # results are reproducible.
@@ -23,6 +23,12 @@ test:
 # engine invariant beneath it.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
+
+# Fuzz the engine's event order against its linear-scan reference
+# queue. Plain `go test` replays only the seeds (f.Add and the corpus
+# in internal/sim/testdata/fuzz); this target searches for new inputs.
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 30s
 
 vet:
 	$(GO) vet ./...
@@ -99,4 +105,4 @@ profile-cpu: build
 cover:
 	$(GO) test -cover ./...
 
-ci: build vet staticcheck test perfbench-check race bench-micro
+ci: build vet staticcheck test perfbench-check race fuzz bench-micro

@@ -6,55 +6,6 @@ import (
 	"graybox/internal/telemetry"
 )
 
-// event is a scheduled callback. Events with equal fire times run in
-// scheduling order (seq), which keeps the simulation deterministic.
-//
-// Events are pooled: once fired or drained as a tombstone the struct goes
-// onto the lane's free list and is reused by a later Schedule. gen is
-// bumped at recycle time so stale Event handles can never touch the new
-// occupant.
-type event struct {
-	at  Time
-	seq uint64
-	gen uint64
-	fn  func()
-	// proc, when non-nil, is handled instead of calling fn: kind selects
-	// a wake or a scheduler timeslice. Process wakes (Sleep, Unblock) are
-	// the single hottest event type, and storing the process directly
-	// avoids allocating a wake closure per sleep; slice events reuse the
-	// same field so the SMP scheduler's hot path is closure-free too.
-	proc *Proc
-	next *event // free-list or wheel-slot link, nil while in a heap
-	// kind discriminates proc events (evWake, evSlice); meaningless for
-	// fn events.
-	kind uint8
-	// loc records which structure holds the event, so Cancel maintains
-	// the right tombstone counter.
-	loc uint8
-}
-
-// Proc-event kinds.
-const (
-	evWake  uint8 = iota // resume ev.proc
-	evSlice              // timeslice expiry for ev.proc (sched.go)
-)
-
-// Event locations (event.loc).
-const (
-	locHeap  uint8 = iota // in the lane's heap
-	locWheel              // chained in the lane's timing wheel
-)
-
-// dead reports whether the slot is a tombstone (canceled or recycled).
-func (ev *event) dead() bool { return ev.fn == nil && ev.proc == nil }
-
-// Event is a cancelable handle to a scheduled callback, returned by
-// Schedule and After. The zero value is inert: Cancel on it is a no-op.
-type Event struct {
-	ev  *event
-	gen uint64
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 //
@@ -68,29 +19,16 @@ type Engine struct {
 	rng  *RNG
 	seed uint64
 
-	// live is the number of scheduled events that have been neither fired
-	// nor canceled.
-	live int
-
-	// ln holds the pending events (wheel.go): a timing wheel in front of
-	// a binary min-heap, fired in (at, seq) order.
-	ln lane
-
-	// wheelMin is defaultWheelMin; tests/benchmarks override.
-	wheelMin int
+	// events holds the pending events (heap.go), fired in (at, seq)
+	// order.
+	events eventHeap
 
 	// yield carries control back from a running process to the engine
 	// loop. All processes share it; only the currently-running process
 	// ever sends on it.
 	yield chan struct{}
 
-	// procs is a slot arena: a finished process's slot is pushed onto
-	// freeSlot and reused by a later Spawn, so long-running simulations
-	// that churn short-lived processes (request-per-process servers) hold
-	// live processes only, not every process that ever ran.
-	procs    []*Proc
-	freeSlot []int32
-	spawned  uint64 // total Spawn calls, ever (arena slots recycle; this doesn't)
+	spawned  uint64 // total Spawn calls, ever
 	nBlocked int    // processes in procBlocked, maintained by setState
 
 	// sched is the SMP scheduler; nil (the default) is the uncontended
@@ -106,10 +44,9 @@ type Engine struct {
 // RNG seeded with seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:      NewRNG(seed),
-		seed:     seed,
-		yield:    make(chan struct{}),
-		wheelMin: defaultWheelMin,
+		rng:   NewRNG(seed),
+		seed:  seed,
+		yield: make(chan struct{}),
 	}
 }
 
@@ -121,10 +58,10 @@ func (e *Engine) Seed() uint64 { return e.seed }
 // or processes are still blocked: snapshotting mid-flight state is not
 // supported and would fork divergent copies.
 func (e *Engine) Checkpoint() (now Time, seq uint64) {
-	if e.live != 0 {
-		panic(fmt.Sprintf("sim: Checkpoint with %d pending event(s)", e.live))
+	if n := len(e.events); n != 0 {
+		panic(fmt.Sprintf("sim: Checkpoint with %d pending event(s)", n))
 	}
-	if n := e.liveBlocked(); n != 0 {
+	if n := e.nBlocked; n != 0 {
 		panic(fmt.Sprintf("sim: Checkpoint with %d blocked process(es)", n))
 	}
 	if n := e.schedBusy(); n != 0 {
@@ -165,104 +102,56 @@ func (e *Engine) NowNS() int64 { return int64(e.now) }
 // RNG returns the engine's deterministic random number generator.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Schedule runs fn at time at (which must not be in the past). It returns
-// a handle that can be used to cancel the event.
-func (e *Engine) Schedule(at Time, fn func()) Event {
+// schedule runs fn at time at, which must not be in the past.
+func (e *Engine) schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	if fn == nil {
 		panic("sim: schedule of nil callback")
 	}
-	ev := e.push(at)
-	ev.fn = fn
-	return Event{ev: ev, gen: ev.gen}
+	e.push(event{at: at, fn: fn})
 }
 
 // scheduleWake schedules p.wake() at time at without allocating a closure.
 func (e *Engine) scheduleWake(at Time, p *Proc) {
-	e.push(at).proc = p
+	e.push(event{at: at, proc: p})
 }
 
-// push takes an event struct off the lane's free list (or allocates
-// one), stamps it with the next sequence number, and places it in the
-// wheel or heap. The caller sets fn or proc.
-func (e *Engine) push(at Time) *event {
-	ln := &e.ln
-	ev := ln.take()
-	ev.at, ev.seq = at, e.seq
+// push stamps ev with the next sequence number and adds it to the
+// pending set.
+func (e *Engine) push(ev event) {
+	ev.seq = e.seq
 	e.seq++
-	e.live++
-	ln.live++
-	ln.place(e, ev)
-	return ev
+	e.events.push(ev)
 }
 
 // After runs fn after duration d.
-func (e *Engine) After(d Time, fn func()) Event {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	return e.Schedule(e.now+d, fn)
+	e.schedule(e.now+d, fn)
 }
 
-// Cancel removes a scheduled event. Canceling an already-fired or
-// already-canceled event (or the zero Event) is a no-op, so Cancel is safe
-// to call twice. Cancellation is lazy: the slot stays where it is as a
-// tombstone (fn == nil) and is discarded when it surfaces, making Cancel
-// O(1) instead of the O(n) scan + O(log n) removal it replaces.
-func (e *Engine) Cancel(h Event) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.dead() {
-		return
-	}
-	ev.fn, ev.proc = nil, nil
-	e.live--
-	ln := &e.ln
-	// If churny callers (timeouts that almost always cancel) fill a heap
-	// or a wheel with tombstones, compact rather than let them pile up
-	// unboundedly.
-	switch ev.loc {
-	case locWheel:
-		ln.live--
-		ln.wheelLive--
-		ln.wheelDead++
-		if ln.wheelLive == 0 || (ln.wheelDead > 64 && ln.wheelDead > ln.wheelLive) {
-			ln.sweepWheel()
-		}
-	case locHeap:
-		ln.live--
-		heapLive := ln.live - ln.wheelLive
-		if dead := len(ln.events) - heapLive; dead > 64 && dead > heapLive {
-			ln.compact()
-		}
-	}
-}
-
-// step fires the earliest pending live event. It reports false when no
-// live events remain.
+// step fires the earliest pending event. It reports false when none
+// remain.
 func (e *Engine) step() bool {
-	ln := &e.ln
-	ev := ln.peekLive()
-	if ev == nil {
+	if len(e.events) == 0 {
 		return false
 	}
-	ln.popMin()
-	ln.live--
+	ev := e.events.pop()
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
-	e.live--
-	fn, p, kind := ev.fn, ev.proc, ev.kind
-	ln.recycle(ev)
 	switch {
-	case p == nil:
-		fn()
-	case kind == evSlice:
-		e.sliceFire(p)
+	case ev.proc == nil:
+		ev.fn()
+	case ev.kind == evSlice:
+		e.sliceFire(ev.proc)
 	default:
-		p.wake()
+		ev.proc.wake()
 	}
 	return true
 }
@@ -273,30 +162,19 @@ func (e *Engine) step() bool {
 func (e *Engine) Run() {
 	for e.step() {
 	}
-	if e.liveBlocked() > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with empty event queue at %v", e.liveBlocked(), e.now))
+	if e.nBlocked > 0 {
+		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with empty event queue at %v", e.nBlocked, e.now))
 	}
 }
 
-// RunUntil processes events with fire times <= deadline and then advances
-// the clock to exactly deadline. Blocked processes are left parked.
-func (e *Engine) RunUntil(deadline Time) {
-	for {
-		ev := e.ln.peekLive()
-		if ev == nil || ev.at > deadline {
-			break
-		}
+// runUntil processes events with fire times <= deadline and then
+// advances the clock to exactly deadline. Blocked processes are left
+// parked.
+func (e *Engine) runUntil(deadline Time) {
+	for len(e.events) > 0 && e.events[0].at <= deadline {
 		e.step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
-
-// liveBlocked counts processes that are parked and not finished. It is
-// O(1): setState maintains the count, so deadlock detection no longer
-// scans the (recycled, possibly sparse) proc arena.
-func (e *Engine) liveBlocked() int { return e.nBlocked }
-
-// Idle reports whether no live events are pending.
-func (e *Engine) Idle() bool { return e.live == 0 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"graybox/internal/ring"
 	"graybox/internal/telemetry"
 )
 
@@ -61,14 +60,12 @@ type Proc struct {
 	e     *Engine
 	name  string
 	state procState
-	slot  int32 // index in the engine's proc arena; -1 after exit
 
 	// Scheduler state (sched.go); idle/unused under the default
 	// infinite-core model.
-	left Time        // remaining CPU burst of the active Compute
-	cpu  int32       // owning CPU while on-CPU, -1 otherwise
-	rqh  ring.Handle // run-queue position while queued, ring.None otherwise
-	enq  Time        // when the process joined the run queue
+	left Time  // remaining CPU burst of the active Compute
+	cpu  int32 // owning CPU while on-CPU, -1 otherwise
+	enq  Time  // when the process joined the run queue
 
 	// resume wakes this process's goroutine. Buffered size 0: the engine
 	// blocks on the send until the goroutine is at its receive, which is
@@ -97,21 +94,9 @@ func (p *Proc) setState(s procState) {
 
 // Spawn creates a process named name whose body is fn and schedules it to
 // start at delay from now. The body runs entirely on virtual time.
-//
-// The process occupies an arena slot for its lifetime; the slot (not the
-// Proc, which callers may still hold) is recycled when the body returns,
-// so arena growth tracks peak live processes, not total ever spawned.
 func (e *Engine) Spawn(name string, delay Time, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, state: procNew, cpu: -1, resume: make(chan struct{})}
 	p.track = e.tel.NewTrack(name) // nil track when telemetry is off
-	if n := len(e.freeSlot); n > 0 {
-		p.slot = e.freeSlot[n-1]
-		e.freeSlot = e.freeSlot[:n-1]
-		e.procs[p.slot] = p
-	} else {
-		p.slot = int32(len(e.procs))
-		e.procs = append(e.procs, p)
-	}
 	e.spawned++
 	e.After(delay, func() {
 		p.setState(procRunnable)
@@ -130,14 +115,11 @@ func (e *Engine) Spawn(name string, delay Time, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// exit finishes the process: the arena slot is released for reuse and
-// control returns to the engine loop. Runs on the process goroutine,
-// which at this point is the only one executing.
+// exit finishes the process and returns control to the engine loop.
+// Runs on the process goroutine, which at this point is the only one
+// executing.
 func (p *Proc) exit() {
 	p.setState(procDone)
-	p.e.procs[p.slot] = nil
-	p.e.freeSlot = append(p.e.freeSlot, p.slot)
-	p.slot = -1
 	p.e.yield <- struct{}{}
 }
 
@@ -165,9 +147,6 @@ func (p *Proc) Track() *telemetry.Track { return p.track }
 
 // Err returns the process's exit error (non-nil if the body panicked).
 func (p *Proc) Err() error { return p.err }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.state == procDone }
 
 // park suspends the calling process goroutine and returns control to the
 // engine loop. The process must have arranged to be resumed (a scheduled

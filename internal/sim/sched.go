@@ -30,8 +30,8 @@ import (
 //     requested burst in one stretch.
 //
 // All scheduler bookkeeping runs inside the engine's single-threaded
-// event loop; timeslices are pool events (kind evSlice), so the steady
-// state allocates nothing.
+// event loop; timeslices are closure-free heap events (kind evSlice), so
+// the steady state allocates nothing.
 
 // DefaultQuantum is the round-robin timeslice when SetCPUs is given a
 // non-positive quantum — 10ms, the classic 100 Hz kernel tick.
@@ -89,15 +89,6 @@ func (e *Engine) CPUs() int {
 		return 0
 	}
 	return len(e.sched.cpus)
-}
-
-// Quantum returns the round-robin timeslice (0 when no CPUs are
-// configured).
-func (e *Engine) Quantum() Time {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.quantum
 }
 
 // ContextSwitches returns the total run-queue dispatches across all
@@ -160,7 +151,7 @@ func (s *scheduler) submit(e *Engine, p *Proc) {
 	p.setState(procRunnable)
 	p.enq = e.now
 	p.cpu = int32(best)
-	p.rqh = c.runq.PushBack(p)
+	c.runq.PushBack(p)
 	c.runnable.Set(int64(c.runq.Len()))
 }
 
@@ -181,7 +172,6 @@ func (s *scheduler) dispatch(e *Engine, c *schedCPU) {
 		return
 	}
 	p := c.runq.Remove(c.runq.Front())
-	p.rqh = ring.None
 	c.runnable.Set(int64(c.runq.Len()))
 	c.switches++
 	c.ctxsw.Inc()
@@ -190,16 +180,14 @@ func (s *scheduler) dispatch(e *Engine, c *schedCPU) {
 }
 
 // armSlice schedules p's next timeslice expiry: the remaining burst,
-// capped at the quantum. Slice events come from the event pool (kind
-// evSlice), so re-arming allocates nothing.
+// capped at the quantum. Slice events carry the process, not a closure
+// (kind evSlice), so re-arming allocates nothing.
 func (e *Engine) armSlice(p *Proc) {
 	run := p.left
 	if q := e.sched.quantum; run > q {
 		run = q
 	}
-	ev := e.push(e.now + run)
-	ev.proc = p
-	ev.kind = evSlice
+	e.push(event{at: e.now + run, proc: p, kind: evSlice})
 }
 
 // sliceFire handles a timeslice expiry for p (event context). The

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // --- Proc lifecycle (state machine) ---
@@ -26,8 +28,8 @@ func TestProcStateLifecycle(t *testing.T) {
 		want ProcState
 	}{
 		{"spawned, start pending", func() {}, StateNew},
-		{"started, now sleeping", func() { e.RunUntil(5 * Microsecond) }, StateBlocked},
-		{"woke, now blocked", func() { e.RunUntil(20 * Microsecond) }, StateBlocked},
+		{"started, now sleeping", func() { e.runUntil(5 * Microsecond) }, StateBlocked},
+		{"woke, now blocked", func() { e.runUntil(20 * Microsecond) }, StateBlocked},
 		{"unblocked, wake pending", func() { e.Unblock(p) }, StateRunnable},
 		{"body returned", func() { e.Run() }, StateDone},
 	}
@@ -59,32 +61,41 @@ func TestProcStateString(t *testing.T) {
 	}
 }
 
-// TestSpawnExitArenaReuse is the completed-process leak regression test:
-// the proc arena must track peak live processes, not total ever spawned.
-// 200 waves of 8 short-lived processes each must leave the arena no
-// larger than one wave.
-func TestSpawnExitArenaReuse(t *testing.T) {
+// TestFinishedProcIsCollected is the completed-process leak regression
+// test: once a process's body has returned, nothing in the engine may
+// keep it reachable, so long runs that churn short-lived processes
+// (request-per-process servers, the noise swarm) hold live processes
+// only.
+func TestFinishedProcIsCollected(t *testing.T) {
 	e := NewEngine(1)
+	e.SetCPUs(2, Microsecond)
 	const waves, perWave = 200, 8
+	collected := make(chan struct{})
 	for w := 0; w < waves; w++ {
 		ps := make([]*Proc, perWave)
 		for i := range ps {
 			ps[i] = e.Go(fmt.Sprintf("w%d.%d", w, i), func(p *Proc) {
+				p.Compute(Time(1+i) * Microsecond)
 				p.Sleep(Time(1+i) * Microsecond)
 			})
 		}
+		if w == 0 {
+			runtime.SetFinalizer(ps[0], func(*Proc) { close(collected) })
+		}
 		e.WaitAll(ps...)
-	}
-	if got := len(e.procs); got > perWave {
-		t.Errorf("arena holds %d slots after %d spawns with %d peak live (leak: slots not recycled)",
-			got, waves*perWave, perWave)
 	}
 	if e.spawned != waves*perWave {
 		t.Errorf("spawned = %d, want %d", e.spawned, waves*perWave)
 	}
-	if got := len(e.freeSlot); got != len(e.procs) {
-		t.Errorf("free list holds %d of %d slots after all processes exited", got, len(e.procs))
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
+	t.Fatal("a finished process was never garbage-collected: the engine still references it")
 }
 
 // --- Scheduler semantics ---
@@ -94,8 +105,8 @@ func TestSpawnExitArenaReuse(t *testing.T) {
 // model every pre-scheduler experiment was measured under).
 func TestComputeUncontendedModel(t *testing.T) {
 	e := NewEngine(1)
-	if e.CPUs() != 0 || e.Quantum() != 0 {
-		t.Fatalf("default engine reports CPUs=%d quantum=%v, want 0/0", e.CPUs(), e.Quantum())
+	if e.CPUs() != 0 {
+		t.Fatalf("default engine reports CPUs=%d, want 0", e.CPUs())
 	}
 	var endA, endB Time
 	a := e.Go("a", func(p *Proc) { p.Compute(10 * Millisecond); endA = p.Now() })
@@ -114,8 +125,8 @@ func TestComputeUncontendedModel(t *testing.T) {
 func TestComputeSingleCPUSerializes(t *testing.T) {
 	e := NewEngine(1)
 	e.SetCPUs(1, 0)
-	if e.CPUs() != 1 || e.Quantum() != DefaultQuantum {
-		t.Fatalf("CPUs=%d quantum=%v, want 1/%v", e.CPUs(), e.Quantum(), DefaultQuantum)
+	if e.CPUs() != 1 || e.sched.quantum != DefaultQuantum {
+		t.Fatalf("CPUs=%d quantum=%v, want 1/%v", e.CPUs(), e.sched.quantum, DefaultQuantum)
 	}
 	var endA, endB Time
 	a := e.Go("a", func(p *Proc) { p.Compute(10 * Millisecond); endA = p.Now() })
@@ -323,7 +334,7 @@ func TestCheckpointPanicsWithBusyScheduler(t *testing.T) {
 	e := NewEngine(1)
 	e.SetCPUs(1, 10*Millisecond)
 	a := e.Go("a", func(p *Proc) { p.Compute(20 * Millisecond) })
-	e.RunUntil(Millisecond) // a is mid-burst, on CPU
+	e.runUntil(Millisecond) // a is mid-burst, on CPU
 	defer func() {
 		if recover() == nil {
 			t.Error("Checkpoint with a process on CPU did not panic")
@@ -348,11 +359,11 @@ func TestSchedSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	e.RunUntil(200 * Millisecond) // warm pools and arenas
+	e.runUntil(200 * Millisecond) // warm pools and arenas
 	next := e.Now()
 	allocs := testing.AllocsPerRun(100, func() {
 		next += 10 * Millisecond
-		e.RunUntil(next)
+		e.runUntil(next)
 	})
 	if allocs != 0 {
 		t.Errorf("scheduler steady state allocs/op = %v, want 0", allocs)
@@ -429,12 +440,12 @@ func BenchmarkSchedDispatch(b *testing.B) {
 			}
 		})
 	}
-	e.RunUntil(100 * Millisecond)
+	e.runUntil(100 * Millisecond)
 	next := e.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next += Millisecond
-		e.RunUntil(next)
+		e.runUntil(next)
 	}
 }

@@ -41,10 +41,10 @@ func TestTimeConversions(t *testing.T) {
 func TestEventsFireInOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
-	e.Schedule(10, func() { got = append(got, 11) }) // same time: scheduling order
+	e.schedule(30, func() { got = append(got, 3) })
+	e.schedule(10, func() { got = append(got, 1) })
+	e.schedule(20, func() { got = append(got, 2) })
+	e.schedule(10, func() { got = append(got, 11) }) // same time: scheduling order
 	e.Run()
 	want := []int{1, 11, 2, 3}
 	if !reflect.DeepEqual(got, want) {
@@ -57,97 +57,14 @@ func TestEventsFireInOrder(t *testing.T) {
 
 func TestScheduleInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Schedule(10, func() {})
+	e.schedule(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.Schedule(5, func() {})
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-}
-
-func TestCancelTwiceAndStale(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	ev := e.Schedule(10, func() { fired++ })
-	e.Cancel(ev)
-	e.Cancel(ev) // double cancel: no-op
-	e.Cancel(Event{})
-	keep := e.Schedule(20, func() { fired += 10 })
-	e.Run()
-	// keep's slot may be recycled now; a stale handle must stay inert.
-	e.Cancel(keep)
-	later := e.Schedule(30, func() { fired += 100 })
-	e.Cancel(keep) // must not hit the recycled slot that later may reuse
-	e.Run()
-	_ = later
-	if fired != 110 {
-		t.Errorf("fired = %d, want 110 (canceled event dead, live events intact)", fired)
-	}
-}
-
-func TestCancelDoesNotAdvanceClock(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.Schedule(100, func() {})
-	e.Schedule(10, func() {})
-	e.Cancel(ev)
-	if e.Idle() {
-		t.Error("Idle with one live event pending")
-	}
-	e.Run()
-	if e.Now() != 10 {
-		t.Errorf("Now = %v, want 10 (tombstone at 100 must not advance the clock)", e.Now())
-	}
-	if !e.Idle() {
-		t.Error("not Idle after Run")
-	}
-}
-
-func TestRunUntilSkipsTombstonesBeyondDeadline(t *testing.T) {
-	e := NewEngine(1)
-	var fired []Time
-	e.Cancel(e.Schedule(5, func() { t.Error("canceled event fired") }))
-	e.Schedule(8, func() { fired = append(fired, 8) })
-	e.Cancel(e.Schedule(9, func() { t.Error("canceled event fired") }))
-	e.Schedule(15, func() { fired = append(fired, 15) })
-	e.RunUntil(10)
-	if !reflect.DeepEqual(fired, []Time{8}) {
-		t.Errorf("fired %v, want [8] (event at 15 is past the deadline)", fired)
-	}
-	if e.Now() != 10 {
-		t.Errorf("Now = %v, want 10", e.Now())
-	}
-}
-
-func TestCancelChurnCompacts(t *testing.T) {
-	e := NewEngine(1)
-	// Schedule-and-cancel churn far beyond the compaction threshold; the
-	// heap must not accumulate one tombstone per canceled timer.
-	for i := 0; i < 10000; i++ {
-		ev := e.Schedule(Time(1000+i), func() { t.Error("canceled event fired") })
-		e.Cancel(ev)
-	}
-	if n := len(e.ln.events); n > 256 {
-		t.Errorf("heap holds %d slots after churn, want compacted (<= 256)", n)
-	}
-	done := false
-	e.Schedule(20000, func() { done = true })
-	e.Run()
-	if !done {
-		t.Error("live event lost during compaction")
-	}
+	e.schedule(5, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
@@ -155,16 +72,16 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15} {
 		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.schedule(at, func() { fired = append(fired, at) })
 	}
-	e.RunUntil(10)
+	e.runUntil(10)
 	if !reflect.DeepEqual(fired, []Time{5, 10}) {
 		t.Errorf("fired %v, want [5 10]", fired)
 	}
 	if e.Now() != 10 {
 		t.Errorf("Now = %v, want 10", e.Now())
 	}
-	e.RunUntil(100)
+	e.runUntil(100)
 	if e.Now() != 100 {
 		t.Errorf("Now = %v, want 100", e.Now())
 	}
@@ -211,7 +128,7 @@ func TestProcVirtualTimeAdvances(t *testing.T) {
 	if at0 != 7 || at1 != 10 {
 		t.Errorf("times = %v, %v; want 7, 10", at0, at1)
 	}
-	if !p.Done() {
+	if p.State() != StateDone {
 		t.Error("process not done")
 	}
 	if p.Err() != nil {
@@ -332,7 +249,7 @@ func TestWaitAll(t *testing.T) {
 	a := e.Go("a", func(p *Proc) { p.Sleep(10) })
 	b := e.Go("b", func(p *Proc) { p.Sleep(20) })
 	e.WaitAll(a, b)
-	if !a.Done() || !b.Done() {
+	if a.State() != StateDone || b.State() != StateDone {
 		t.Fatal("WaitAll returned before processes finished")
 	}
 }
@@ -440,7 +357,7 @@ func TestEventNonDecreasingTimeProperty(t *testing.T) {
 		e := NewEngine(seed)
 		var fireTimes []Time
 		for _, d := range delays {
-			e.Schedule(Time(d), func() { fireTimes = append(fireTimes, e.Now()) })
+			e.schedule(Time(d), func() { fireTimes = append(fireTimes, e.Now()) })
 		}
 		e.Run()
 		for i := 1; i < len(fireTimes); i++ {

@@ -99,7 +99,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 			})
 
 			// Stop everyone after two virtual seconds.
-			s.Engine.Schedule(2*sim.Second, func() { stop = true })
+			s.Engine.After(2*sim.Second, func() { stop = true })
 			s.Engine.WaitAll(reader, writer, churner, stormer)
 			for _, p := range []*sim.Proc{reader, writer, churner, stormer} {
 				if p.Err() != nil {
@@ -164,7 +164,7 @@ func TestSoakDeterminism(t *testing.T) {
 				os.Sleep(sim.Millisecond)
 			}
 		})
-		s.Engine.Schedule(500*sim.Millisecond, func() { stop = true })
+		s.Engine.After(500*sim.Millisecond, func() { stop = true })
 		s.Engine.WaitAll(a, b)
 		st := s.Cache.Stats()
 		return s.Engine.Now(), st.Hits, st.Misses
