@@ -102,7 +102,8 @@ func withSnapshotReuse(t *testing.T, on bool, f func()) {
 // (Chrome trace and metrics snapshot) and the oracle-grounded audit
 // report collected along the way. The same holds for the snapshot path:
 // trials forked from a shared platform snapshot must render byte-identical
-// tables and exports to cold-built trials.
+// tables and exports to cold-built trials. The sequential run's renders
+// must also match the golden file's digests.
 func TestParallelDeterminism(t *testing.T) {
 	EnableTelemetry(true)
 	EnableAudit(true)
@@ -151,6 +152,10 @@ func TestParallelDeterminism(t *testing.T) {
 		return b.String(), tr.String(), mt.String(), au.String()
 	}
 	seqTab, seqTrace, seqMetrics, seqAudit := render(1, true)
+	checkGolden(t, "digest tables", digest(seqTab))
+	checkGolden(t, "digest trace", digest(seqTrace))
+	checkGolden(t, "digest metrics", digest(seqMetrics))
+	checkGolden(t, "digest audit", digest(seqAudit))
 	parTab, parTrace, parMetrics, parAudit := render(8, true)
 	coldTab, coldTrace, coldMetrics, coldAudit := render(8, false)
 	if seqTab != parTab {
@@ -196,7 +201,8 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestSnapshotDeterminismAllExperiments sweeps the whole registry: every
 // experiment's table must be byte-identical whether its trials fork a
-// shared platform snapshot or cold-build their machines. Experiments
+// shared platform snapshot or cold-build their machines, and equal to
+// its section of the golden file. Experiments
 // that never touch the snapshot path pass trivially (both runs are cold
 // builds); the ones that do (fig1, fig2, fig4, noise) prove the fork is
 // indistinguishable from a cold build end to end.
@@ -212,6 +218,7 @@ func TestSnapshotDeterminismAllExperiments(t *testing.T) {
 				withSnapshotReuse(t, true, func() { forked = r.Run(QuickScale()).String() })
 				withSnapshotReuse(t, false, func() { cold = r.Run(QuickScale()).String() })
 			})
+			checkGolden(t, "table "+r.ID, forked)
 			if forked != cold {
 				t.Errorf("snapshot-forked table differs from cold-built trials:\n--- forked ---\n%s\n--- cold ---\n%s", forked, cold)
 			}

@@ -2,9 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"graybox/internal/telemetry"
 )
+
+// noDeadline is Engine.until outside runUntil: nothing bounds how far an
+// inline resume may advance the clock.
+const noDeadline = Time(math.MaxInt64)
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
@@ -12,7 +17,9 @@ import (
 // The engine is strictly single-threaded from the caller's perspective:
 // although processes are goroutines, exactly one of them (or the engine
 // loop itself) runs at any instant, with explicit handoff. This makes every
-// run with the same seed bit-for-bit reproducible.
+// run with the same seed bit-for-bit reproducible. A process whose own
+// event is the next to fire resumes inline, without a handoff at all
+// (resumeInline).
 type Engine struct {
 	now  Time
 	seq  uint64
@@ -31,6 +38,10 @@ type Engine struct {
 	spawned  uint64 // total Spawn calls, ever
 	nBlocked int    // processes in procBlocked, maintained by setState
 
+	// until is runUntil's deadline while it runs, noDeadline otherwise.
+	// Inline resumes never fire an event past it.
+	until Time
+
 	// sched is the SMP scheduler; nil (the default) is the uncontended
 	// infinite-core model where Compute is a pure timer. See sched.go.
 	sched *scheduler
@@ -38,6 +49,16 @@ type Engine struct {
 	// tel is the engine's telemetry registry; nil (the default) disables
 	// all instrumentation at zero cost.
 	tel *telemetry.Registry
+
+	// Process resumes (sim.resumes) and the share of them done without a
+	// goroutine switch (sim.inline_resumes); nil when telemetry is off.
+	resumes       *telemetry.Counter
+	inlineResumes *telemetry.Counter
+
+	// observe, when set (tests only), sees every event as it is pushed
+	// (fired false) and as it fires (fired true, with the clock already
+	// at ev.at).
+	observe func(ev event, fired bool)
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -47,6 +68,7 @@ func NewEngine(seed uint64) *Engine {
 		rng:   NewRNG(seed),
 		seed:  seed,
 		yield: make(chan struct{}),
+		until: noDeadline,
 	}
 }
 
@@ -88,6 +110,8 @@ func (e *Engine) Now() Time { return e.now }
 // events. A nil registry (the default) disables telemetry.
 func (e *Engine) SetTelemetry(r *telemetry.Registry) {
 	e.tel = r
+	e.resumes = r.Counter("sim.resumes")
+	e.inlineResumes = r.Counter("sim.inline_resumes")
 	e.instrumentSched()
 }
 
@@ -124,6 +148,23 @@ func (e *Engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
 	e.events.push(ev)
+	if e.observe != nil {
+		e.observe(ev, false)
+	}
+}
+
+// pop removes the earliest pending event and advances the clock to its
+// fire time. The heap must not be empty.
+func (e *Engine) pop() event {
+	ev := e.events.pop()
+	if ev.at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = ev.at
+	if e.observe != nil {
+		e.observe(ev, true)
+	}
+	return ev
 }
 
 // After runs fn after duration d.
@@ -140,11 +181,7 @@ func (e *Engine) step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.events.pop()
-	if ev.at < e.now {
-		panic("sim: time went backwards")
-	}
-	e.now = ev.at
+	ev := e.pop()
 	switch {
 	case ev.proc == nil:
 		ev.fn()
@@ -171,10 +208,33 @@ func (e *Engine) Run() {
 // advances the clock to exactly deadline. Blocked processes are left
 // parked.
 func (e *Engine) runUntil(deadline Time) {
+	e.until = deadline
 	for len(e.events) > 0 && e.events[0].at <= deadline {
 		e.step()
 	}
+	e.until = noDeadline
 	if e.now < deadline {
 		e.now = deadline
 	}
+}
+
+// resumeInline resumes p, which is about to park, without a goroutine
+// switch when its own event is the next to fire: a wake, or a timeslice
+// that ends its burst. It pops that event through pop, exactly as step
+// would, so the (at, seq) order, the clock and every later seq are what
+// the park/wake round trip would have produced. A slice that does not
+// end the burst is accounted the same way and the loop looks again: an
+// uncontended Compute runs as a chain of inline slices. Events past
+// runUntil's deadline are left for later. It reports whether p resumed.
+func (e *Engine) resumeInline(p *Proc) bool {
+	for len(e.events) > 0 && e.events[0].proc == p && e.events[0].at <= e.until {
+		if ev := e.pop(); ev.kind == evSlice && !e.sliceDone(p) {
+			continue
+		}
+		p.setState(procRunning)
+		e.resumes.Inc()
+		e.inlineResumes.Inc()
+		return true
+	}
+	return false
 }

@@ -47,8 +47,28 @@ func BenchmarkTimerChurn(b *testing.B) {
 }
 
 // BenchmarkProcessHandoff measures the engine<->process goroutine handoff
-// (park/wake round-trip) via the Sleep fast path.
+// (park/wake round trip). Two sleepers offset by 1ns alternate, so the
+// next event is always the other process's wake and every Sleep is a
+// real switch; one op is one Sleep.
 func BenchmarkProcessHandoff(b *testing.B) {
+	e := NewEngine(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sleeper := func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(2)
+			}
+		}
+	}
+	p := e.Go("a", sleeper((b.N+1)/2))
+	q := e.Spawn("b", 1, sleeper(b.N/2))
+	e.WaitAll(p, q)
+}
+
+// BenchmarkInlineResume measures a lone sleeper: its own wake is always
+// the next event, so every Sleep resumes inline without a switch.
+func BenchmarkInlineResume(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
 	b.ResetTimer()

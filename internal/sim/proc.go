@@ -54,8 +54,10 @@ const (
 
 // Proc is a cooperative simulated process. Its body runs on a dedicated
 // goroutine, but the engine guarantees that at most one process goroutine
-// executes at a time: a process runs until it calls Sleep, Block, or
-// returns, at which point control hands back to the engine loop.
+// executes at a time: a process runs until it calls Sleep, Compute,
+// Block, or returns. If its own event is the next to fire it carries on
+// at that event's time without a switch (Engine.resumeInline);
+// otherwise control hands back to the engine loop.
 type Proc struct {
 	e     *Engine
 	name  string
@@ -148,11 +150,15 @@ func (p *Proc) Track() *telemetry.Track { return p.track }
 // Err returns the process's exit error (non-nil if the body panicked).
 func (p *Proc) Err() error { return p.err }
 
-// park suspends the calling process goroutine and returns control to the
-// engine loop. The process must have arranged to be resumed (a scheduled
-// wake event, a run-queue entry, or a future Unblock); wake sets the
-// state back to running.
+// park suspends the calling process until it is resumed. The process
+// must have arranged to be resumed (a scheduled wake event, a run-queue
+// entry, or a future Unblock). If that event is the next to fire, it
+// fires inline and park returns at once; otherwise park returns control
+// to the engine loop, and wake sets the state back to running.
 func (p *Proc) park() {
+	if p.e.resumeInline(p) {
+		return
+	}
 	p.e.yield <- struct{}{}
 	<-p.resume
 }
@@ -165,6 +171,7 @@ func (p *Proc) wake() {
 		return
 	}
 	p.setState(procRunning)
+	p.e.resumes.Inc()
 	p.resume <- struct{}{}
 	<-p.e.yield
 }

@@ -190,12 +190,20 @@ func (e *Engine) armSlice(p *Proc) {
 	e.push(event{at: e.now + run, proc: p, kind: evSlice})
 }
 
-// sliceFire handles a timeslice expiry for p (event context). The
-// elapsed slice is charged against the burst; a finished process frees
-// its CPU (dispatching the next waiter) and resumes, an unfinished one
-// either keeps the CPU (empty queue) or rotates to the back of the
-// scheduler, round-robin.
+// sliceFire handles a timeslice expiry for p (event context), resuming
+// p if the slice ended its burst.
 func (e *Engine) sliceFire(p *Proc) {
+	if e.sliceDone(p) {
+		p.wake()
+	}
+}
+
+// sliceDone charges an expired timeslice against p's burst and reports
+// whether the burst is finished. A finished process frees its CPU
+// (dispatching the next waiter) and is ready to resume; an unfinished
+// one either keeps the CPU (empty queue) or rotates to the back of the
+// scheduler, round-robin.
+func (e *Engine) sliceDone(p *Proc) bool {
 	s := e.sched
 	c := &s.cpus[p.cpu]
 	run := p.left
@@ -206,17 +214,17 @@ func (e *Engine) sliceFire(p *Proc) {
 	if p.left == 0 {
 		c.cur, p.cpu = nil, -1
 		s.dispatch(e, c)
-		p.wake()
-		return
+		return true
 	}
 	if c.runq.Len() == 0 {
 		// Uncontended: keep the CPU. Not a context switch.
 		e.armSlice(p)
-		return
+		return false
 	}
 	c.cur, p.cpu = nil, -1
 	s.dispatch(e, c)
 	s.submit(e, p)
+	return false
 }
 
 // Compute charges d of CPU time to this process. With no CPUs

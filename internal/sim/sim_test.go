@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"graybox/internal/telemetry"
 )
 
 func TestTimeString(t *testing.T) {
@@ -369,5 +371,34 @@ func TestEventNonDecreasingTimeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResumeCounters: a lone sleeper's own wake is always the next
+// event, so after its first dispatch every resume is inline; two
+// sleepers offset by 1ns always find the other's wake next, so every
+// resume is a real switch.
+func TestResumeCounters(t *testing.T) {
+	const n = 100
+	sleeper := func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(2)
+		}
+	}
+	run := func(procs int) (resumes, inline int64) {
+		e := NewEngine(1)
+		r := telemetry.NewRegistry("test", e.NowNS)
+		e.SetTelemetry(r)
+		for i := 0; i < procs; i++ {
+			e.Spawn("p", Time(i), sleeper)
+		}
+		e.Run()
+		return r.Counter("sim.resumes").Value(), r.Counter("sim.inline_resumes").Value()
+	}
+	if resumes, inline := run(1); resumes != n+1 || inline != n {
+		t.Errorf("lone sleeper: %d resumes, %d inline; want %d, %d", resumes, inline, n+1, n)
+	}
+	if resumes, inline := run(2); resumes != 2*(n+1) || inline != 0 {
+		t.Errorf("ping-pong pair: %d resumes, %d inline; want %d, 0", resumes, inline, 2*(n+1))
 	}
 }

@@ -1,7 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine:
 // a virtual clock, an event queue, cooperative processes implemented as
 // goroutines with strict one-at-a-time handoff, FIFO resources, and a
-// seedable random number generator.
+// seedable random number generator. A process hands control back to the
+// engine loop only when some other event must fire before its own: a
+// process whose own wake or timeslice is next resumes inline.
 //
 // Everything in this repository that "takes time" (disk accesses, memory
 // copies, page faults) runs on the virtual clock, so experiments are
