@@ -20,9 +20,11 @@ test:
 	$(GO) test ./...
 
 # Race gate for the worker-pool trial runner and the single-threaded
-# engine invariant beneath it.
+# engine invariant beneath it: the engine's hand-off between driver and
+# process goroutines, under every package that drives an engine.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/experiments/...
+	$(GO) test -race ./internal/sim/... ./internal/experiments/... \
+		./internal/simos/... ./internal/workload/... ./internal/priorart/...
 
 # Fuzz the engine's event order against its linear-scan reference
 # queue. Plain `go test` replays only the seeds (f.Add and the corpus

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // cellFloat parses a numeric table cell ("0.42", "3.21±0.02", "12MB",
@@ -259,6 +261,26 @@ func TestMACAccuracyShape(t *testing.T) {
 		if errMB > avail*0.15 || errMB < -avail*0.3 {
 			t.Errorf("MAC error %v MB of %v MB available\n%s", errMB, avail, tab)
 		}
+	}
+}
+
+// TestMACAccuracyPointLeavesNoGoroutine: a MAC accuracy point waits
+// for its hog as well as for MAC, so no process stays parked on a
+// goroutine that keeps the point's whole machine reachable.
+func TestMACAccuracyPointLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		macAccuracyPoint(QuickScale(), 0.5, 8000+uint64(i))
+	}
+	// A finished process's goroutine ends just after it hands control
+	// back to the driver, so give the last one a moment.
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Errorf("%d goroutine(s) left after 4 points, want %d", n, base)
 	}
 }
 

@@ -22,7 +22,7 @@ func macAccuracyPoint(sc Scale, frac float64, seed uint64) (rec audit.MACRecord,
 
 	stop := false
 	ready := false
-	s.Spawn("hog", 0, func(os *simos.OS) {
+	hog := s.Spawn("hog", 0, func(os *simos.OS) {
 		m := os.Malloc(hogBytes)
 		for !stop {
 			os.TouchRange(m, 0, m.Pages(), true)
@@ -45,8 +45,11 @@ func macAccuracyPoint(sc Scale, frac float64, seed uint64) (rec audit.MACRecord,
 		}
 		ctl.GBFree(a)
 	})
-	s.Engine.WaitAll(p)
+	// The hog sees stop on its next wake and returns; waiting for it too
+	// leaves no parked goroutine holding the machine.
+	s.Engine.WaitAll(p, hog)
 	mustNoErr(p.Err())
+	mustNoErr(hog.Err())
 	rec, _ = aud.LastMAC()
 	return rec, hogMB, availMB
 }

@@ -7,8 +7,8 @@ import (
 	"graybox/internal/telemetry"
 )
 
-// noDeadline is Engine.until outside runUntil: nothing bounds how far an
-// inline resume may advance the clock.
+// noDeadline is Engine.until outside runUntil: no event is held back
+// for its time.
 const noDeadline = Time(math.MaxInt64)
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -16,10 +16,11 @@ const noDeadline = Time(math.MaxInt64)
 //
 // The engine is strictly single-threaded from the caller's perspective:
 // although processes are goroutines, exactly one of them (or the engine
-// loop itself) runs at any instant, with explicit handoff. This makes every
-// run with the same seed bit-for-bit reproducible. A process whose own
-// event is the next to fire resumes inline, without a handoff at all
-// (resumeInline).
+// driver) runs at any instant, with explicit handoff. This makes every
+// run with the same seed bit-for-bit reproducible. The goroutine that
+// gives up control fires the due events itself and passes control
+// straight to the process they resume (drive); a process whose own wake
+// is next carries on without a handoff at all (Proc.Sleep, Proc.park).
 type Engine struct {
 	now  Time
 	seq  uint64
@@ -30,16 +31,23 @@ type Engine struct {
 	// order.
 	events eventHeap
 
-	// yield carries control back from a running process to the engine
-	// loop. All processes share it; only the currently-running process
-	// ever sends on it.
-	yield chan struct{}
+	// driver resumes the goroutine in Run, WaitAll or runUntil. A
+	// process sends on it when nothing is due for it to fire.
+	driver chan struct{}
+	// driving is set while a driver runs, which must not be re-entered.
+	driving bool
+	// stop is WaitAll's condition while it drives, nil otherwise: no
+	// event fires once it holds.
+	stop func() bool
+	// panicked is an event callback's panic, recovered on the goroutine
+	// that fired it and re-panicked by the driver.
+	panicked any
 
 	spawned  uint64 // total Spawn calls, ever
 	nBlocked int    // processes in procBlocked, maintained by setState
 
 	// until is runUntil's deadline while it runs, noDeadline otherwise.
-	// Inline resumes never fire an event past it.
+	// No event past it fires, and no Sleep returns past it.
 	until Time
 
 	// sched is the SMP scheduler; nil (the default) is the uncontended
@@ -50,14 +58,15 @@ type Engine struct {
 	// all instrumentation at zero cost.
 	tel *telemetry.Registry
 
-	// Process resumes (sim.resumes) and the share of them done without a
-	// goroutine switch (sim.inline_resumes); nil when telemetry is off.
+	// Process resumes (sim.resumes) and those whose own event was the
+	// next to fire when the process parked (sim.inline_resumes, a resume
+	// with no goroutine switch); nil when telemetry is off.
 	resumes       *telemetry.Counter
 	inlineResumes *telemetry.Counter
 
 	// observe, when set (tests only), sees every event as it is pushed
 	// (fired false) and as it fires (fired true, with the clock already
-	// at ev.at).
+	// at ev.at), including the wakes Sleep fires without the heap.
 	observe func(ev event, fired bool)
 }
 
@@ -65,10 +74,10 @@ type Engine struct {
 // RNG seeded with seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:   NewRNG(seed),
-		seed:  seed,
-		yield: make(chan struct{}),
-		until: noDeadline,
+		rng:    NewRNG(seed),
+		seed:   seed,
+		driver: make(chan struct{}),
+		until:  noDeadline,
 	}
 }
 
@@ -137,7 +146,8 @@ func (e *Engine) schedule(at Time, fn func()) {
 	e.push(event{at: at, fn: fn})
 }
 
-// scheduleWake schedules p.wake() at time at without allocating a closure.
+// scheduleWake schedules a resume of p at time at without allocating a
+// closure.
 func (e *Engine) scheduleWake(at Time, p *Proc) {
 	e.push(event{at: at, proc: p})
 }
@@ -175,32 +185,30 @@ func (e *Engine) After(d Time, fn func()) {
 	e.schedule(e.now+d, fn)
 }
 
-// step fires the earliest pending event. It reports false when none
-// remain.
-func (e *Engine) step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := e.pop()
-	switch {
-	case ev.proc == nil:
-		ev.fn()
-	case ev.kind == evSlice:
-		e.sliceFire(ev.proc)
-	default:
-		ev.proc.wake()
-	}
-	return true
-}
-
 // Run processes events until the queue is empty. It panics if processes
 // remain blocked with no event that could ever wake them (a simulation
 // deadlock), since silently returning would make such bugs easy to miss.
 func (e *Engine) Run() {
-	for e.step() {
-	}
+	e.drive(noDeadline, nil)
 	if e.nBlocked > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with empty event queue at %v", e.nBlocked, e.now))
+	}
+}
+
+// WaitAll runs the engine until every listed process has finished. It
+// panics on simulation deadlock.
+func (e *Engine) WaitAll(ps ...*Proc) {
+	done := func() bool {
+		for _, p := range ps {
+			if p.state != procDone {
+				return false
+			}
+		}
+		return true
+	}
+	e.drive(noDeadline, done)
+	if !done() {
+		panic(fmt.Sprintf("sim: WaitAll deadlock at %v", e.now))
 	}
 }
 
@@ -208,33 +216,87 @@ func (e *Engine) Run() {
 // advances the clock to exactly deadline. Blocked processes are left
 // parked.
 func (e *Engine) runUntil(deadline Time) {
-	e.until = deadline
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.step()
-	}
-	e.until = noDeadline
+	e.drive(deadline, nil)
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
-// resumeInline resumes p, which is about to park, without a goroutine
-// switch when its own event is the next to fire: a wake, or a timeslice
-// that ends its burst. It pops that event through pop, exactly as step
-// would, so the (at, seq) order, the clock and every later seq are what
-// the park/wake round trip would have produced. A slice that does not
-// end the burst is accounted the same way and the loop looks again: an
-// uncontended Compute runs as a chain of inline slices. Events past
-// runUntil's deadline are left for later. It reports whether p resumed.
-func (e *Engine) resumeInline(p *Proc) bool {
-	for len(e.events) > 0 && e.events[0].proc == p && e.events[0].at <= e.until {
-		if ev := e.pop(); ev.kind == evSlice && !e.sliceDone(p) {
+// drive fires events until none is due: the queue is empty, the next
+// event is past until, or stop (nil for never) holds. The calling
+// goroutine, the driver, fires them only until one resumes a process.
+// From then on each process that parks fires the next ones itself and
+// passes control straight to the process they resume (Proc.park); the
+// driver gets control back only once nothing is due. A callback's panic,
+// recovered on whichever goroutine fired it, is re-panicked here.
+func (e *Engine) drive(until Time, stop func() bool) {
+	if e.driving {
+		panic("sim: Run, WaitAll or runUntil called from inside a process or an event; the engine's driver is not re-entrant")
+	}
+	e.driving, e.until, e.stop = true, until, stop
+	if p := e.next(nil); p != nil {
+		e.pass(p)
+		<-e.driver
+	}
+	e.driving, e.until, e.stop = false, noDeadline, nil
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
+	}
+}
+
+// next fires due events (see drive) in (at, seq) order on the calling
+// goroutine until one resumes a process, and returns that process, set
+// running and counted in sim.resumes. It returns nil once no event is
+// due, or when a callback panics; the panic is kept for the driver.
+// self is the parking process that calls next, or nil. When next
+// resumes self having fired only self's own events (its wake, or the
+// timeslices of its burst), self's own event was the next to fire when
+// it parked, and the resume counts in sim.inline_resumes.
+func (e *Engine) next(self *Proc) (p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked, p = r, nil
+		}
+	}()
+	own := true
+	for len(e.events) > 0 && e.events[0].at <= e.until && (e.stop == nil || !e.stop()) {
+		ev := e.pop()
+		p = ev.proc
+		own = own && p == self
+		switch {
+		case p == nil:
+			ev.fn()
+			continue
+		case ev.kind == evSlice:
+			if !e.sliceDone(p) {
+				continue
+			}
+		case p.state == procDone:
 			continue
 		}
 		p.setState(procRunning)
 		e.resumes.Inc()
-		e.inlineResumes.Inc()
-		return true
+		if own {
+			e.inlineResumes.Inc()
+		}
+		return p
 	}
-	return false
+	return nil
+}
+
+// pass hands control to p's goroutine, starting it on p's first resume,
+// or to the driver when p is nil. The caller then waits to be resumed
+// in turn, or ends if it is a finished process.
+func (e *Engine) pass(p *Proc) {
+	switch {
+	case p == nil:
+		e.driver <- struct{}{}
+	case p.body != nil:
+		fn := p.body
+		p.body = nil
+		go p.run(fn)
+	default:
+		p.resume <- struct{}{}
+	}
 }

@@ -41,15 +41,13 @@ func BenchmarkTimerChurn(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for fired < b.N {
-		e.step()
-	}
+	e.drive(noDeadline, func() bool { return fired >= b.N })
 }
 
-// BenchmarkProcessHandoff measures the engine<->process goroutine handoff
-// (park/wake round trip). Two sleepers offset by 1ns alternate, so the
-// next event is always the other process's wake and every Sleep is a
-// real switch; one op is one Sleep.
+// BenchmarkProcessHandoff measures the process-to-process handoff. Two
+// sleepers offset by 1ns alternate, so the next event is always the
+// other process's wake and every Sleep passes control to the other
+// goroutine; one op is one Sleep.
 func BenchmarkProcessHandoff(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
@@ -66,10 +64,31 @@ func BenchmarkProcessHandoff(b *testing.B) {
 	e.WaitAll(p, q)
 }
 
-// BenchmarkInlineResume measures a lone sleeper: its own wake is always
-// the next event, so every Sleep resumes inline without a switch.
+// BenchmarkInlineResume measures a lone sleeper with an empty heap: its
+// own wake is always the next event, so every Sleep returns at once
+// without touching the heap.
 func BenchmarkInlineResume(b *testing.B) {
 	e := NewEngine(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	p := e.Go("bench", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.WaitAll(p)
+}
+
+// BenchmarkSleepNextWake measures the same lone sleeper with 1,024
+// far-future events pending, so the Sleep fast path is checked against
+// a non-empty heap. The events stay pending: WaitAll returns once the
+// sleeper is done.
+func BenchmarkSleepNextWake(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		e.After(Time(1<<50+i), fn)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	p := e.Go("bench", func(p *Proc) {

@@ -110,13 +110,14 @@ func orderDeadline(b byte) Time { return orderDelay(b) + orderDelay(b>>3) + Time
 // before the final drain. Each program runs under SetCPUs 0 and 2.
 //
 // The engine's observe hook mirrors every event into the reference as
-// it is pushed and checks every event as it fires, including the wakes
-// and timeslices a process pushes and fires inline without returning to
-// the engine loop. Each fired event must be the reference's minimum
-// (at, seq), fire with the clock at its time and not past the deadline,
-// and every seq must be pushed once and fired once, with none left
-// unfired after the drain. Each process also checks that Sleep(d)
-// returns exactly d after it was called, and Compute(d) no earlier.
+// it is pushed and checks every event as it fires, including those a
+// parking or exiting process fires on its own goroutine and the wakes
+// Sleep fires without the heap. Each fired event must be the
+// reference's minimum (at, seq), fire with the clock at its time and
+// not past the deadline, and every seq must be pushed once and fired
+// once, with none left unfired after the drain. Each process also
+// checks that Sleep(d) returns exactly d after it was called, and
+// Compute(d) no earlier.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2})
 	f.Add([]byte{0, 0x1f, 1, 0x22, 2, 0x9d, 2, 0x46, 3, 7, 0, 0xe1})
@@ -129,6 +130,16 @@ func FuzzEngineOrder(f *testing.F) {
 	// A process sleeping 10ms from time 0, with the deadline at 1.05ms,
 	// between its start and its first wake.
 	f.Add([]byte{6, 0x00, 5})
+	// The same sleeper with a callback at 1.05ms, between its park and
+	// its wake: the parked process fires the callback, then its own wake.
+	f.Add([]byte{6, 0x00, 0, 5})
+	// A process sleeping 1ns four times exits while a second one's 10ms
+	// wake is due, and the exiting process resumes it; when the second
+	// exits, the third's start at 50ms is next and its goroutine starts.
+	f.Add([]byte{2, 0x00, 6, 0x00, 30, 0x00})
+	// A 10ms Sleep whose wake ties a callback at 10ms: the wake goes
+	// through the heap behind the callback's lower seq.
+	f.Add([]byte{6, 0x00, 0, 6})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 129 {
 			prog = prog[:129]
@@ -258,8 +269,7 @@ func checkEngineOrder(t *testing.T, prog []byte, cpus int) {
 		deadline = noDeadline
 	}
 	for {
-		for e.step() {
-		}
+		e.drive(noDeadline, nil)
 		if len(parked) == 0 {
 			break
 		}

@@ -8,14 +8,14 @@ import (
 
 // ProcState is a process's lifecycle state. Transitions:
 //
-//	New ──spawn event──▶ Runnable ──dispatch──▶ Running
+//	New ──start wake──▶ Running
 //	Running ──Sleep/Block──▶ Blocked ──wake/Unblock──▶ Runnable ─▶ Running
 //	Running ──Compute (CPUs busy)──▶ Runnable ──dispatch──▶ Running
 //	Running ──body returns──▶ Done
 //
 // A process is Runnable between becoming eligible to run and actually
-// running: freshly spawned (start event fired, first dispatch pending),
-// unblocked (wake event queued), or waiting in a scheduler run queue.
+// running: unblocked (wake event queued) or waiting in a scheduler run
+// queue.
 type ProcState int
 
 const (
@@ -55,9 +55,10 @@ const (
 // Proc is a cooperative simulated process. Its body runs on a dedicated
 // goroutine, but the engine guarantees that at most one process goroutine
 // executes at a time: a process runs until it calls Sleep, Compute,
-// Block, or returns. If its own event is the next to fire it carries on
-// at that event's time without a switch (Engine.resumeInline);
-// otherwise control hands back to the engine loop.
+// Block, or returns. It then fires the due events itself and passes
+// control straight to the process they resume, which may be itself, in
+// which case it carries on without a switch (park); control goes back
+// to the driver only once nothing is due (Engine.drive).
 type Proc struct {
 	e     *Engine
 	name  string
@@ -69,10 +70,13 @@ type Proc struct {
 	cpu  int32 // owning CPU while on-CPU, -1 otherwise
 	enq  Time  // when the process joined the run queue
 
-	// resume wakes this process's goroutine. Buffered size 0: the engine
-	// blocks on the send until the goroutine is at its receive, which is
-	// exactly the handoff we want.
+	// resume wakes this process's goroutine. Unbuffered: the sender
+	// hands over on the send and then waits on its own channel.
 	resume chan struct{}
+
+	// body is the process's function until its first resume starts its
+	// goroutine (Engine.pass), nil afterwards.
+	body func(p *Proc)
 
 	// track is this process's span timeline (nil when telemetry is off;
 	// the nil track's methods are no-ops).
@@ -97,32 +101,27 @@ func (p *Proc) setState(s procState) {
 // Spawn creates a process named name whose body is fn and schedules it to
 // start at delay from now. The body runs entirely on virtual time.
 func (e *Engine) Spawn(name string, delay Time, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, state: procNew, cpu: -1, resume: make(chan struct{})}
+	if delay < 0 {
+		panic("sim: negative delay")
+	}
+	p := &Proc{e: e, name: name, state: procNew, cpu: -1, resume: make(chan struct{}), body: fn}
 	p.track = e.tel.NewTrack(name) // nil track when telemetry is off
 	e.spawned++
-	e.After(delay, func() {
-		p.setState(procRunnable)
-		go func() {
-			<-p.resume
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = fmt.Errorf("proc %s panicked: %v", p.name, r)
-				}
-				p.exit()
-			}()
-			fn(p)
-		}()
-		p.wake()
-	})
+	e.scheduleWake(e.now+delay, p)
 	return p
 }
 
-// exit finishes the process and returns control to the engine loop.
-// Runs on the process goroutine, which at this point is the only one
-// executing.
-func (p *Proc) exit() {
-	p.setState(procDone)
-	p.e.yield <- struct{}{}
+// run is the process's goroutine: the body, then the hand-off that ends
+// the process, deferred so that a panicking body ends it too.
+func (p *Proc) run(fn func(p *Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.err = fmt.Errorf("proc %s panicked: %v", p.name, r)
+		}
+		p.setState(procDone)
+		p.e.pass(p.e.next(nil))
+	}()
+	fn(p)
 }
 
 // Go spawns a process starting immediately.
@@ -152,38 +151,47 @@ func (p *Proc) Err() error { return p.err }
 
 // park suspends the calling process until it is resumed. The process
 // must have arranged to be resumed (a scheduled wake event, a run-queue
-// entry, or a future Unblock). If that event is the next to fire, it
-// fires inline and park returns at once; otherwise park returns control
-// to the engine loop, and wake sets the state back to running.
+// entry, or a future Unblock). park fires the due events itself until
+// one resumes a process: if that is the caller, park returns without a
+// switch; otherwise it hands over to that process, or to the driver once
+// nothing is due, and waits for its own resume.
 func (p *Proc) park() {
-	if p.e.resumeInline(p) {
-		return
+	if q := p.e.next(p); q != p {
+		p.e.pass(q)
+		<-p.resume
 	}
-	p.e.yield <- struct{}{}
-	<-p.resume
-}
-
-// wake transfers control from the engine loop into the process goroutine
-// and waits for it to park again (or exit). Must only be called from event
-// context.
-func (p *Proc) wake() {
-	if p.state == procDone {
-		return
-	}
-	p.setState(procRunning)
-	p.e.resumes.Inc()
-	p.resume <- struct{}{}
-	<-p.e.yield
 }
 
 // Sleep advances this process's virtual time by d, letting other events
 // run in between. d must be >= 0; Sleep(0) yields to same-time events.
+//
+// When the wake would be the next event to fire (before the heap's
+// head, and not past runUntil's deadline), Sleep skips the heap: it
+// takes the wake's seq and advances the clock, which is exactly a push
+// followed by popping the head. On a tie with the head the wake goes
+// through the heap, since the head's seq is lower. WaitAll's condition
+// need not be checked: it changes only when a process exits, and the
+// exiting process checks it before firing anything.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
+	e := p.e
+	at := e.now + d
+	if at <= e.until && (len(e.events) == 0 || at < e.events[0].at) {
+		ev := event{at: at, seq: e.seq, proc: p}
+		e.seq++
+		e.now = at
+		if e.observe != nil {
+			e.observe(ev, false)
+			e.observe(ev, true)
+		}
+		e.resumes.Inc()
+		e.inlineResumes.Inc()
+		return
+	}
 	p.setState(procBlocked)
-	p.e.scheduleWake(p.e.now+d, p)
+	e.scheduleWake(at, p)
 	p.park()
 }
 
@@ -205,24 +213,4 @@ func (e *Engine) Unblock(p *Proc) {
 	}
 	p.setState(procRunnable)
 	e.scheduleWake(e.now, p)
-}
-
-// WaitAll runs the engine until every listed process has finished. It
-// panics on simulation deadlock.
-func (e *Engine) WaitAll(ps ...*Proc) {
-	for {
-		done := true
-		for _, p := range ps {
-			if p.state != procDone {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
-		if !e.step() {
-			panic(fmt.Sprintf("sim: WaitAll deadlock at %v", e.now))
-		}
-	}
 }

@@ -190,14 +190,6 @@ func (e *Engine) armSlice(p *Proc) {
 	e.push(event{at: e.now + run, proc: p, kind: evSlice})
 }
 
-// sliceFire handles a timeslice expiry for p (event context), resuming
-// p if the slice ended its burst.
-func (e *Engine) sliceFire(p *Proc) {
-	if e.sliceDone(p) {
-		p.wake()
-	}
-}
-
 // sliceDone charges an expired timeslice against p's burst and reports
 // whether the burst is finished. A finished process frees its CPU
 // (dispatching the next waiter) and is ready to resume; an unfinished

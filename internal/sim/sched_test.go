@@ -11,9 +11,8 @@ import (
 
 // TestProcStateLifecycle walks one process through every lifecycle state
 // and checks State() at each observable point. Transitions under test:
-// New (spawned, start event pending) -> Runnable (start fired) ->
-// Running (dispatched) -> Blocked (Sleep/Block) -> Runnable (Unblock) ->
-// Done.
+// New (spawned, start wake pending) -> Running (started) -> Blocked
+// (Sleep/Block) -> Runnable (Unblock) -> Done.
 func TestProcStateLifecycle(t *testing.T) {
 	e := NewEngine(1)
 	var insideBody ProcState

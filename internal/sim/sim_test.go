@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -400,5 +401,93 @@ func TestResumeCounters(t *testing.T) {
 	}
 	if resumes, inline := run(2); resumes != 2*(n+1) || inline != 0 {
 		t.Errorf("ping-pong pair: %d resumes, %d inline; want %d, 0", resumes, inline, 2*(n+1))
+	}
+}
+
+// TestCallbackPanicReachesDriver: an event callback that panics
+// surfaces from the driver's Run, whichever goroutine fired it: the
+// driver, a parked process or one that just exited. The panic is not
+// mistaken for the firing process's own, and a later Run carries on
+// from where it stopped.
+func TestCallbackPanicReachesDriver(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		start Time
+		body  func(p *Proc)
+	}{
+		{"fired by a parked process", 0, func(p *Proc) { p.Sleep(10) }},
+		{"fired by an exiting process", 0, func(p *Proc) { p.Sleep(1) }},
+		{"fired by the driver", 10, func(p *Proc) {}},
+	} {
+		e := NewEngine(1)
+		p := e.Spawn("p", c.start, c.body)
+		e.After(5, func() { panic("boom") })
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("%s: Run panicked with %v, want boom", c.name, r)
+				}
+			}()
+			e.Run()
+		}()
+		if p.Err() != nil {
+			t.Errorf("%s: the callback's panic became the process's error: %v", c.name, p.Err())
+		}
+		e.Run()
+		if p.State() != StateDone || p.Err() != nil {
+			t.Errorf("%s: after a second Run the process is %v with error %v", c.name, p.State(), p.Err())
+		}
+	}
+}
+
+// TestDriverNotReentrant: Run, WaitAll and runUntil drive the engine
+// from outside it; called from a process body or an event callback they
+// panic instead of corrupting the hand-off.
+func TestDriverNotReentrant(t *testing.T) {
+	e := NewEngine(1)
+	p := e.Go("p", func(p *Proc) { p.Engine().Run() })
+	e.Run()
+	if p.Err() == nil || !strings.Contains(p.Err().Error(), "not re-entrant") {
+		t.Errorf("Run from a process body: err = %v, want a re-entrancy panic", p.Err())
+	}
+
+	e = NewEngine(1)
+	e.After(1, func() { e.runUntil(2) })
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "not re-entrant") {
+			t.Errorf("runUntil from a callback: Run panicked with %q, want a re-entrancy panic", r)
+		}
+	}()
+	e.Run()
+}
+
+// TestSleepAllocs guards the paths BenchmarkProcessHandoff and
+// BenchmarkSleepNextWake measure: once warm, a Sleep that passes
+// control to another process, and one that skips the heap while 1,024
+// far-future events are pending, allocate nothing.
+func TestSleepAllocs(t *testing.T) {
+	sleeper := func(p *Proc) {
+		for {
+			p.Sleep(2)
+		}
+	}
+	pair := NewEngine(1)
+	pair.Spawn("a", 0, sleeper)
+	pair.Spawn("b", 1, sleeper)
+	lone := NewEngine(1)
+	for i := 0; i < 1024; i++ {
+		lone.After(Time(1<<50+i), func() {})
+	}
+	lone.Go("lone", sleeper)
+	for _, e := range []*Engine{pair, lone} {
+		e.runUntil(1000) // start the processes
+		next := e.Now()
+		allocs := testing.AllocsPerRun(100, func() {
+			next += 1000
+			e.runUntil(next)
+		})
+		if allocs != 0 {
+			t.Errorf("%d process(es): Sleep allocs/op = %v, want 0", e.spawned, allocs)
+		}
 	}
 }
